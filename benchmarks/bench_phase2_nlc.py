@@ -3,13 +3,17 @@
 Two arms, both asserted bit-identical to their pre-optimisation
 counterparts before any timing is believed:
 
-* **NLC build** — a fig10-style customers sweep timing the brute-force
-  kNN pass that dominates ``build_nlcs``: the compiled ``knn_brute``
-  C kernel (via ``knn_chunked``) against the pure-numpy chunked body
-  (``_knn_chunked_numpy``, the ``REPRO_NO_CKERNEL`` fallback).  Every
-  point asserts the two produce byte-identical distances AND neighbour
-  indices; the headline is the sweep-aggregate speedup, budgeted at
-  >= 2x.  When the toolchain cannot build the kernel the arm records
+* **NLC build** — a fig10-style customers sweep timing the kNN pass
+  that dominates ``build_nlcs``: the compiled tree-pruned kernel (via
+  ``knn_chunked``, site index build included) against the pure-numpy
+  scan of every site (``_knn_chunked_numpy``, the ``REPRO_NO_CKERNEL``
+  fallback), then the same comparison at the sweep's largest ``|O|``
+  over site sets that stress the kd-tree's boxes: clustered, tight
+  (normal, spread 0.02), collinear (one zero-width axis) and
+  duplicated (every site four times).  Every point asserts the two
+  produce byte-identical distances AND neighbour indices; the headline
+  is the aggregate speedup over all points, budgeted at >= 2x.  When
+  the toolchain cannot build the kernel the arm records
   ``compiled_available: false`` and skips the budget (the fallback *is*
   the measured path then).
 
@@ -54,6 +58,8 @@ from repro.core.maxfirst import MaxFirst
 from repro.core.nlc import build_nlcs
 from repro.core.region import (compute_optimal_region,
                                compute_optimal_region_reference)
+from repro.datasets.synthetic import (clustered_points, normal_points,
+                                      uniform_points)
 from repro.index._ckernel import load_knn_kernel
 from repro.obs import metrics as obs_metrics
 
@@ -61,6 +67,16 @@ MIN_NLC_SPEEDUP = 2.0
 MIN_PHASE2_SPEEDUP = 2.0
 PHASE2_TOP_T = 8  # acceptance asks for top_t >= 4
 POOL_WORKERS = 2
+
+#: Site sets of the NLC arm beyond the instance's own uniform sites.
+SITE_SETS = {
+    "clustered": lambda n, rng: clustered_points(n, seed=rng),
+    "normal-0.02": lambda n, rng: normal_points(n, rng, spread=0.02),
+    "collinear": lambda n, rng: np.column_stack(
+        [uniform_points(n, rng)[:, 0], np.full(n, 0.5)]),
+    "duplicated": lambda n, rng: np.repeat(
+        uniform_points(-(-n // 4), rng), 4, axis=0)[:n],
+}
 
 
 # ---------------------------------------------------------------------- #
@@ -78,10 +94,13 @@ def _numpy_knn(queries: np.ndarray, points: np.ndarray,
 
 
 def _nlc_point(n_customers: int, n_sites: int, k: int, seed: int,
-               repeats: int, compiled_available: bool) -> dict:
+               repeats: int, compiled_available: bool,
+               sites: str = "uniform") -> dict:
     problem = _problem(n_customers, n_sites, k, "uniform", seed)
     queries = np.ascontiguousarray(problem.customers)
-    points = np.ascontiguousarray(problem.sites)
+    points = np.ascontiguousarray(
+        problem.sites if sites == "uniform"
+        else SITE_SETS[sites](n_sites, np.random.default_rng(seed)))
 
     with obs_metrics.REGISTRY.isolated():
         kernel_d, kernel_i = nlc_mod.knn_chunked(queries, points, k)
@@ -105,8 +124,8 @@ def _nlc_point(n_customers: int, n_sites: int, k: int, seed: int,
         _numpy_knn(queries, points, k)
         best_numpy = min(best_numpy, time.perf_counter() - t0)
     return {
-        "n_customers": n_customers, "n_sites": n_sites, "k": k,
-        "seed": seed,
+        "n_customers": n_customers, "n_sites": n_sites, "sites": sites,
+        "k": k, "seed": seed,
         "compiled_s": round(best_kernel, 6),
         "numpy_s": round(best_numpy, 6),
         "speedup": round(best_numpy / best_kernel, 3),
@@ -237,6 +256,15 @@ def run(scale: str = "small", repeats: int = 5, relax: bool = False
         print(f"  |O|={n_customers:6d}  compiled={row['compiled_s']:.4f}s"
               f"  numpy={row['numpy_s']:.4f}s"
               f"  speedup={row['speedup']:.2f}x")
+    n_customers = max(profile.customers_sweep)
+    for sites in SITE_SETS:
+        row = _nlc_point(n_customers, profile.n_sites, k, seed, repeats,
+                         compiled_available, sites=sites)
+        nlc_rows.append(row)
+        print(f"  |O|={n_customers:6d}  {sites:11s} "
+              f"compiled={row['compiled_s']:.4f}s"
+              f"  numpy={row['numpy_s']:.4f}s"
+              f"  speedup={row['speedup']:.2f}x")
 
     print(f"Phase II (top_t={PHASE2_TOP_T}, k={k}):")
     phase2_rows = []
@@ -270,7 +298,8 @@ def run(scale: str = "small", repeats: int = 5, relax: bool = False
         "repeats": repeats,
         "timing": "min over repeats, arms interleaved in-process",
         "identity": "every NLC point asserted byte-identical (distances "
-                    "and indices, compiled vs numpy); every Phase II "
+                    "and indices, compiled tree search vs numpy scan); "
+                    "every Phase II "
                     "region asserted identical (score, cover, "
                     "clipping_count, arcs) vs the pre-optimisation "
                     "reference path",

@@ -120,6 +120,7 @@ def run(params: dict, k: int = 1, chunk_rows: int = 1_048_576) -> dict:
         row = {
             "benchmark": "scale",
             **params, "k": k, "store": "memmap",
+            "cpu_count": os.cpu_count(),
             "n_nlcs": owner.length,
             "store_bytes": store_bytes,
             "rss_ceiling_bytes": RSS_CEILING_BYTES,

@@ -6,11 +6,16 @@ the ``k`` concentric NLCs with their Definition 2 scores.  The paper
 budgets ``O(|O| log |P|)`` for this step using an R-tree over the sites; we
 offer three engines and pick automatically:
 
-* ``"brute"`` — chunked brute force, served by the compiled ``knn_brute``
-  kernel when available (``REPRO_NO_CKERNEL=1`` forces the numpy
-  ``argpartition`` fallback; both paths are bit-identical, including the
-  ``(distance, index)`` tie-break); fastest when ``|P|`` is
-  small-to-moderate (the paper's regime, ``|P| <= 1000``).
+* ``"brute"`` — the exact engine of the paper's regime (``|P| <= 4096``).
+  With the compiled kernel loaded it is an ``O(|O| log |P|)`` search
+  over a static bucket kd-tree of the sites (:class:`SiteTree`, built
+  once per site set), pruning a node only when its box distance² is
+  strictly greater than the current k-th ``(distance², index)``; that
+  bound never exceeds the computed distance² of a site inside the box,
+  so results are bit-identical to the numpy scan.  ``REPRO_NO_CKERNEL=1``
+  forces that scan: a chunked ``argpartition`` over every site, the
+  oracle the identity tests compare against.  Both paths share the
+  ``(distance, index)`` tie-break.
 * ``"kdtree"`` — batched traversal of our
   :class:`~repro.index.kdtree.KDTree`; wins when ``|P|`` is large.
 * ``"rtree"`` — batched kNN on our :class:`~repro.index.rtree.RTree`,
@@ -24,7 +29,7 @@ perf gate diffs against its blessed baseline.
 from __future__ import annotations
 
 import sys
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -35,7 +40,7 @@ from repro.core.probability import (
 )
 from repro.core.problem import MaxBRkNNProblem
 from repro.geometry.rect import Rect
-from repro.index._ckernel import load_knn_kernel
+from repro.index._ckernel import KnnKernel, load_knn_kernel
 from repro.index.circleset import CircleSet
 from repro.index.kdtree import KDTree
 from repro.index.rtree import RTree
@@ -59,6 +64,45 @@ _CHUNK_RSS_PEAK = _obs_metrics.gauge("nlc_build_chunk_rss_peak")
 # Above this many sites the kd-tree's O(log |P|) per query beats the numpy
 # O(|P|) row scan (empirically calibrated; exact crossover is unimportant).
 _BRUTE_SITE_LIMIT = 4096
+# Sites per SiteTree leaf (at most): small enough that a query scans few
+# sites past its k-th neighbour, large enough to keep the tree shallow.
+_TREE_LEAF = 8
+
+
+class SiteTree:
+    """Static bucket kd-tree over one site set: the prepared index of the
+    compiled ``"brute"`` engine (see ``knn_tree_build`` in
+    ``_quadkernel.c``).
+
+    An implicit complete binary tree of ``depth`` levels: internal nodes
+    split their sites at the median on the wider axis of their box,
+    leaves hold at most ``_TREE_LEAF`` sites, and ``boxes`` holds every
+    node's tight ``(xmin, ymin, xmax, ymax)``.  ``xy`` / ``idx`` are the
+    sites in tree order and their original indices.  Plain arrays only,
+    so the index pickles like the other engines' trees.
+    """
+
+    __slots__ = ("xy", "idx", "boxes", "depth")
+
+    def __init__(self, points: np.ndarray, kernel: KnnKernel) -> None:
+        points = np.ascontiguousarray(points, dtype=np.float64)
+        n = points.shape[0]
+        depth = 0
+        while -(-n // (1 << depth)) > _TREE_LEAF:
+            depth += 1
+        self.depth = depth
+        self.xy = np.empty((n, 2), dtype=np.float64)
+        self.idx = np.empty(n, dtype=np.int64)
+        self.boxes = np.empty(((2 << depth) - 1, 4), dtype=np.float64)
+        kernel.build(points.ctypes.data, n, depth, self.xy.ctypes.data,
+                     self.idx.ctypes.data, self.boxes.ctypes.data)
+
+    def __len__(self) -> int:
+        return int(self.idx.shape[0])
+
+
+#: A prepared site index from :func:`build_knn_tree`, any engine.
+KnnTree = Union[KDTree, RTree, SiteTree]
 
 
 def resolve_knn_method(n_points: int, method: str = "auto") -> str:
@@ -71,12 +115,14 @@ def resolve_knn_method(n_points: int, method: str = "auto") -> str:
 
 
 def build_knn_tree(points: np.ndarray,
-                   method: str = "auto") -> KDTree | RTree | None:
+                   method: str = "auto") -> KnnTree | None:
     """Prebuild the spatial index :func:`knn_distances` would build for
     ``method``, so callers issuing several query batches against the same
-    site set (the pipeline's ``build_nlcs`` stage across repeated runs)
-    pay construction once.  Returns ``None`` for the brute engine, which
-    has no index to reuse.
+    site set (streamed chunks, the pipeline's ``build_nlcs`` stage across
+    repeated runs) pay construction once.  The brute
+    engine's index is the compiled kernel's :class:`SiteTree`; without
+    the kernel (``REPRO_NO_CKERNEL=1``) the numpy scan has no index and
+    this returns ``None``.
     """
     points = np.asarray(points, dtype=np.float64)
     method = resolve_knn_method(points.shape[0], method)
@@ -86,13 +132,14 @@ def build_knn_tree(points: np.ndarray,
         return RTree.bulk_load(
             (Rect(float(x), float(y), float(x), float(y)), i)
             for i, (x, y) in enumerate(points))
-    return None
+    kernel = load_knn_kernel()
+    return SiteTree(points, kernel) if kernel is not None else None
 
 
 def knn_distances_indices(
         queries: np.ndarray, points: np.ndarray, k: int,
         method: str = "auto",
-        tree: KDTree | RTree | None = None,
+        tree: KnnTree | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distances *and* indices of each query's ``k`` nearest ``points``.
 
@@ -113,7 +160,8 @@ def knn_distances_indices(
             f"k={k} out of range for {points.shape[0]} points")
     method = resolve_knn_method(points.shape[0], method)
     if method == "brute":
-        return knn_chunked(queries, points, k)
+        return knn_chunked(queries, points, k,
+                           tree=tree if isinstance(tree, SiteTree) else None)
     if method == "kdtree":
         return _knn_kdtree(queries, points, k, tree=tree)
     return _knn_rtree(queries, points, k, tree=tree)
@@ -121,7 +169,7 @@ def knn_distances_indices(
 
 def knn_distances(queries: np.ndarray, points: np.ndarray, k: int,
                   method: str = "auto",
-                  tree: KDTree | RTree | None = None) -> np.ndarray:
+                  tree: KnnTree | None = None) -> np.ndarray:
     """Distances from each query to its ``k`` nearest ``points``.
 
     Returns an ``(n_queries, k)`` array of ascending distances.  Thin
@@ -134,7 +182,7 @@ def knn_distances(queries: np.ndarray, points: np.ndarray, k: int,
 
 def build_nlcs(problem: MaxBRkNNProblem, method: str = "auto",
                keep_zero_score: bool = False,
-               tree: KDTree | RTree | None = None) -> CircleSet:
+               tree: KnnTree | None = None) -> CircleSet:
     """Materialise the scored NLCs of every customer object.
 
     By default NLCs whose Definition 2 score is zero are dropped: a
@@ -157,32 +205,10 @@ def build_nlcs(problem: MaxBRkNNProblem, method: str = "auto",
                          owners=empty_i, levels=empty_i)
     dists = knn_distances(problem.customers, problem.sites, problem.k,
                           method=method, tree=tree)
-    n = problem.n_customers
-    k = problem.k
-
-    score_rows = np.empty((n, k), dtype=np.float64)
-    cache: dict[tuple, np.ndarray] = {}
-    for i, model in enumerate(problem.models):
-        base = cache.get(model.probs)
-        if base is None:
-            base = np.array(model.scores(1.0), dtype=np.float64)
-            cache[model.probs] = base
-        score_rows[i] = base
-    score_rows *= problem.weights[:, None]
-
-    owners = np.repeat(np.arange(n, dtype=np.int64), k)
-    levels = np.tile(np.arange(1, k + 1, dtype=np.int64), n)
-    cx = np.repeat(problem.customers[:, 0], k)
-    cy = np.repeat(problem.customers[:, 1], k)
-    radii = dists.reshape(-1)
-    scores = score_rows.reshape(-1)
-
-    if not keep_zero_score:
-        keep = scores > 0.0
-        cx, cy = cx[keep], cy[keep]
-        radii, scores = radii[keep], scores[keep]
-        owners, levels = owners[keep], levels[keep]
-
+    score_rows = _score_rows(problem.models, problem.k, {})
+    cx, cy, radii, scores, owners, levels = nlc_soa_chunk(
+        problem.customers, problem.weights, score_rows, dists, 0,
+        keep_zero_score)
     return CircleSet(cx, cy, radii, scores, owners=owners, levels=levels)
 
 
@@ -195,6 +221,28 @@ def _score_base(model: "ProbabilityModel",
         base = np.array(model.scores(1.0), dtype=np.float64)
         cache[model.probs] = base
     return base
+
+
+def _score_rows(models: Sequence["ProbabilityModel"], k: int,
+                cache: dict[tuple, np.ndarray]) -> np.ndarray:
+    """Unit-weight score rows of ``models``, one ``(k,)`` row per
+    customer, filled per distinct model object rather than per customer.
+
+    When every customer shares one model (the ``None``, single-model and
+    flat-sequence forms of :func:`resolve_models`) the result is a
+    read-only broadcast of that model's row; otherwise each customer's
+    row is gathered from the table of distinct model objects.
+    """
+    m = len(models)
+    # list.count tests identity before equality, so the shared-model
+    # forms ([model] * n) cost one C-level pass and no allocation.
+    if models.count(models[0]) == m:
+        return np.broadcast_to(_score_base(models[0], cache), (m, k))
+    ids = np.fromiter(map(id, models), dtype=np.uintp, count=m)
+    _, first, inverse = np.unique(ids, return_index=True,
+                                  return_inverse=True)
+    table = np.stack([_score_base(models[i], cache) for i in first])
+    return table[inverse]
 
 
 def _rss_peak_bytes() -> float | None:
@@ -221,7 +269,8 @@ def nlc_soa_chunk(customers: np.ndarray, weights: np.ndarray,
     concatenating every chunk reproduces the batch build bit-for-bit.
     """
     m, k = dists.shape
-    scores = (score_rows * weights[:, None]).reshape(-1)
+    weighted = score_rows * weights[:, None]
+    scores = weighted.reshape(-1)
     owners = np.repeat(
         np.arange(owner_base, owner_base + m, dtype=np.int64), k)
     levels = np.tile(np.arange(1, k + 1, dtype=np.int64), m)
@@ -242,7 +291,7 @@ def stream_nlc_chunks(customer_chunks: "Iterable[np.ndarray]",
                       probability: "ProbabilityLike" = None,
                       method: str = "auto",
                       keep_zero_score: bool = False,
-                      tree: KDTree | RTree | None = None,
+                      tree: KnnTree | None = None,
                       ) -> "Iterator[tuple[np.ndarray, ...]]":
     """Yield store-ready SoA chunks from streamed customer coordinates.
 
@@ -289,7 +338,7 @@ def build_nlcs_streaming(problem: MaxBRkNNProblem,
                          chunk_size: int = 65536,
                          method: str = "auto",
                          keep_zero_score: bool = False,
-                         tree: KDTree | RTree | None = None) -> "NLCStore":
+                         tree: KnnTree | None = None) -> "NLCStore":
     """Build the NLC set straight into a storage backend, chunk by chunk.
 
     The streaming sibling of :func:`build_nlcs`: customers are processed
@@ -323,15 +372,10 @@ def build_nlcs_streaming(problem: MaxBRkNNProblem,
                     problem.sites,
                     resolve_knn_method(problem.n_sites, method))
             cache: dict[tuple, np.ndarray] = {}
-            score_rows = np.empty((0, k), dtype=np.float64)
             for start in range(0, n, chunk_size):
                 stop = min(start + chunk_size, n)
-                m = stop - start
-                if score_rows.shape[0] != m:
-                    score_rows = np.empty((m, k), dtype=np.float64)
-                for i in range(start, stop):
-                    score_rows[i - start] = _score_base(
-                        problem.models[i], cache)
+                score_rows = _score_rows(problem.models[start:stop], k,
+                                         cache)
                 dists = knn_distances(problem.customers[start:stop],
                                       problem.sites, k,
                                       method=method, tree=tree)
@@ -364,22 +408,31 @@ def nlc_space(nlcs: CircleSet, margin_fraction: float = 1e-6) -> Rect:
 # Engines
 # ---------------------------------------------------------------------- #
 
-def knn_chunked(queries: np.ndarray, points: np.ndarray,
-                k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Chunked brute-force kNN: ``(distances, indices)``, both
-    ``(n_queries, k)``.
+def knn_chunked(queries: np.ndarray, points: np.ndarray, k: int,
+                tree: SiteTree | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Exact kNN of the ``"brute"`` engine: ``(distances, indices)``,
+    both ``(n_queries, k)``.
 
     The single implementation behind :func:`knn_distances_indices`'s
     brute engine and :func:`repro.core.queries.knn_sites`.  The hot path
-    is the compiled ``knn_brute`` kernel (a bounded (distance², index)
-    max-heap per query — no distance-matrix scratch at all); with
+    is the compiled ``knn_tree_search`` kernel: a depth-first search of
+    the sites' :class:`SiteTree` (``tree``, or one built here when the
+    caller passes none) with a bounded ``(distance², index)`` max-heap
+    per query, O(log |P|) sites per query instead of all of them.  A
+    node is pruned only when its box distance², grouped like a site's
+    ``dx*dx + dy*dy``, is strictly greater than the current k-th
+    distance²; monotone IEEE rounding keeps that bound at or below the
+    computed distance² of every site inside the box, so no candidate of
+    the exact answer, and no distance tie, is ever skipped.  With
     ``REPRO_NO_CKERNEL=1`` or when the kernel is unavailable, the numpy
-    ``argpartition`` fallback computes bit-identical results, chunked to
-    bound its scratch at ``_BRUTE_CHUNK * |points|`` floats.  On both
-    paths each row's ``k`` winners follow the deterministic
+    ``argpartition`` scan of every site computes bit-identical results,
+    chunked to bound its scratch at ``_BRUTE_CHUNK * |points|`` floats.
+    On both paths each row's ``k`` winners follow the deterministic
     ``(distance, index)`` tie-break — equidistant sites always resolve
     to the lowest index, even when the tie straddles the selection
-    boundary.
+    boundary.  ``nlc_build_queries`` / ``nlc_build_chunks`` are counted
+    by formula, identically on both paths.
     """
     queries = np.ascontiguousarray(queries, dtype=np.float64)
     points = np.ascontiguousarray(points, dtype=np.float64)
@@ -389,25 +442,24 @@ def knn_chunked(queries: np.ndarray, points: np.ndarray,
         raise ValueError(f"k={k} out of range for {n_points} points")
     dists = np.empty((n, k), dtype=np.float64)
     indices = np.empty((n, k), dtype=np.int64)
-    # Counted by formula, identically on both kernel paths.
     _NLC_QUERIES.add(n)
     _NLC_CHUNKS.add(-(-n // _BRUTE_CHUNK))
     kernel = load_knn_kernel()
     if kernel is not None:
-        for start in range(0, n, _BRUTE_CHUNK):
-            stop = min(start + _BRUTE_CHUNK, n)
-            rc = kernel(queries[start:stop].ctypes.data, stop - start,
-                        points.ctypes.data, n_points, k,
-                        dists[start:stop].ctypes.data,
-                        indices[start:stop].ctypes.data)
-            if rc == 0:
-                continue
-            # Allocation failure inside the kernel (k was validated
-            # above): fall through to the numpy path for the whole
-            # batch rather than trust partial output.
-            _knn_chunked_numpy(queries, points, k, dists, indices)
+        if tree is None:
+            tree = SiteTree(points, kernel)
+        elif len(tree) != n_points:
+            raise ValueError(
+                f"site index holds {len(tree)} sites, not {n_points}")
+        rc = kernel.search(queries.ctypes.data, n, tree.xy.ctypes.data,
+                           tree.idx.ctypes.data, n_points,
+                           tree.boxes.ctypes.data, tree.depth, k,
+                           dists.ctypes.data, indices.ctypes.data)
+        if rc == 0:
             return dists, indices
-        return dists, indices
+        # Allocation failure inside the kernel (k was validated above):
+        # redo the whole batch on the numpy path rather than trust
+        # partial output.
     _knn_chunked_numpy(queries, points, k, dists, indices)
     return dists, indices
 
@@ -472,7 +524,7 @@ def _fix_boundary_ties(d2: np.ndarray, sel_idx: np.ndarray,
 
 def _knn_kdtree(
         queries: np.ndarray, points: np.ndarray, k: int,
-        tree: KDTree | RTree | None = None,
+        tree: KnnTree | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(tree, KDTree):
         tree = KDTree(points)
@@ -482,7 +534,7 @@ def _knn_kdtree(
 
 def _knn_rtree(
         queries: np.ndarray, points: np.ndarray, k: int,
-        tree: KDTree | RTree | None = None,
+        tree: KnnTree | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(tree, RTree):
         tree = RTree.bulk_load(

@@ -4,10 +4,13 @@
 system C compiler into a shared library cached under a private per-user
 cache directory, keyed by a hash of the source and compile flags, then
 loaded through :mod:`ctypes`.  The library carries every compiled entry
-point — ``classify_quad_split`` for Phase I rectangle classification and
-``knn_brute`` for NLC construction — and is built and loaded exactly
-once per process; :func:`load_quad_kernel` and :func:`load_knn_kernel`
-hand out the individually configured functions.  Everything is
+point — ``classify_quad_split`` for Phase I rectangle classification,
+and ``knn_tree_build`` / ``knn_tree_search`` for NLC construction (an
+exact kNN over a static bucket kd-tree of the sites, built once per
+site set and pruned only by box distances strictly beyond the current
+k-th neighbour, so it matches the numpy scan bit for bit) — and is
+built and loaded exactly once per process; :func:`load_quad_kernel` and
+:func:`load_knn_kernel` hand out the configured functions.  Everything is
 best-effort: an *expected* failure — no compiler, unwritable cache dir,
 unsupported platform, a stale or unloadable library — emits a
 :class:`RuntimeWarning` naming the fallback and degrades to ``None``,
@@ -42,6 +45,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from typing import Any, NamedTuple
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "_quadkernel.c")
@@ -162,23 +166,45 @@ def _configure_quad(fn) -> None:
     ]
 
 
-def _configure_knn(fn) -> None:
-    """ctypes signature for ``knn_brute``."""
+def _configure_knn_build(fn) -> None:
+    """ctypes signature for ``knn_tree_build``."""
+    c_i64 = ctypes.c_int64
+    ptr = ctypes.c_void_p
+    fn.restype = None
+    fn.argtypes = [
+        ptr, c_i64,    # points (m, 2), n_points
+        c_i64,         # depth
+        ptr, ptr, ptr,  # txy (m, 2), tidx (m,), boxes (nodes, 4)
+    ]
+
+
+def _configure_knn_search(fn) -> None:
+    """ctypes signature for ``knn_tree_search``."""
     c_i64 = ctypes.c_int64
     ptr = ctypes.c_void_p
     fn.restype = ctypes.c_int
     fn.argtypes = [
-        ptr, c_i64,  # queries (n, 2), n_queries
-        ptr, c_i64,  # points (m, 2), n_points
-        c_i64,       # k
-        ptr, ptr,    # dist_out (n, k), idx_out (n, k)
+        ptr, c_i64,       # queries (n, 2), n_queries
+        ptr, ptr, c_i64,  # txy, tidx, n_points
+        ptr, c_i64,       # boxes, depth
+        c_i64,            # k
+        ptr, ptr,         # dist_out (n, k), idx_out (n, k)
     ]
 
 
 _ENTRY_POINTS = {
     "classify_quad_split": _configure_quad,
-    "knn_brute": _configure_knn,
+    "knn_tree_build": _configure_knn_build,
+    "knn_tree_search": _configure_knn_search,
 }
+
+
+class KnnKernel(NamedTuple):
+    """The compiled kNN entry points: ``build`` prepares the site
+    index, ``search`` answers a query batch against it."""
+
+    build: Any
+    search: Any
 
 
 def _load_entries() -> dict[str, object | None]:
@@ -229,9 +255,15 @@ def load_quad_kernel():
     return _entries()["classify_quad_split"]
 
 
-def load_knn_kernel():
-    """The compiled ``knn_brute`` entry point, or ``None``.
+def load_knn_kernel() -> KnnKernel | None:
+    """The compiled ``knn_tree_build`` / ``knn_tree_search`` pair, or
+    ``None``.
 
     The result (including a failed load) is cached for the process.
     """
-    return _entries()["knn_brute"]
+    entries = _entries()
+    build = entries["knn_tree_build"]
+    search = entries["knn_tree_search"]
+    if build is None or search is None:
+        return None
+    return KnnKernel(build, search)

@@ -1,11 +1,16 @@
-/* Compiled hot kernel for MaxFirst's batched quadrant split.
+/* Compiled hot kernels: MaxFirst's batched quadrant split (first) and
+ * the exact tree-pruned kNN of NLC construction (knn_tree_build /
+ * knn_tree_search, further down, with their own exactness argument).
+ * Both are bit-identical to numpy fallbacks selected by
+ * REPRO_NO_CKERNEL=1.
  *
- * Classifies every candidate disk against the four children of one
- * rectangle split at (px, py) in a single pass.  The four children share
- * axis intervals ([xmin,px] / [px,xmax] on x, [ymin,py] / [py,ymax] on
- * y), so only four near/far lane distances are computed per candidate
- * instead of eight — half the floating-point work of four independent
- * rectangle classifications, with no numpy temporaries.
+ * The quadrant split classifies every candidate disk against the four
+ * children of one rectangle split at (px, py) in a single pass.  The
+ * four children share axis intervals ([xmin,px] / [px,xmax] on x,
+ * [ymin,py] / [py,ymax] on y), so only four near/far lane distances are
+ * computed per candidate instead of eight — half the floating-point
+ * work of four independent rectangle classifications, with no numpy
+ * temporaries.
  *
  * Bit-identity contract with CircleSet.classify_rect (the scalar numpy
  * kernel): every arithmetic operation below mirrors the numpy expression
@@ -93,23 +98,48 @@ void classify_quad_split(
     }
 }
 
-/* Compiled brute-force kNN for NLC construction (knn_chunked fast path).
+/* Exact tree-pruned kNN for NLC construction (knn_chunked fast path).
+ *
+ * knn_tree_build lays a static bucket kd-tree over the sites, once per
+ * site set: an implicit complete binary tree of `depth` levels (node i
+ * has children 2i+1 and 2i+2), every internal node splitting its
+ * points at the median by (coordinate, site index) on the wider axis of
+ * its box, every leaf holding at most ~8 sites.  boxes[4i..4i+3] is the
+ * tight (xmin, ymin, xmax, ymax) of node i's sites.  The sites are
+ * copied into tree order (txy) with their original indices (tidx).
+ *
+ * knn_tree_search answers each query by a depth-first descent, nearer
+ * child first, keeping a bounded max-heap of the k best (d2, index)
+ * pairs.  A node is pruned only when the heap is full and the node's
+ * box distance² is strictly greater than the heap's k-th d2.
  *
  * Bit-identity contract with the numpy fallback in repro.core.nlc:
  * per pair the squared distance is dx*dx + dy*dy with dx = qx - px,
  * dy = qy - py — the same operand grouping as the numpy broadcast
  * expression, each multiply and add rounded separately (build with
- * -ffp-contract=off).  Selection keeps the k smallest by the strict
- * lexicographic (d2, index) order, so distance ties always resolve to
- * the lowest site index — the documented deterministic tie-break of
- * knn_chunked.  Output distances are sqrt(d2); C's sqrt and np.sqrt are
- * both IEEE-754 correctly rounded, so they agree bit for bit.
+ * -ffp-contract=off).  Output distances are sqrt(d2); C's sqrt and
+ * np.sqrt are both IEEE-754 correctly rounded, so they agree bit for
+ * bit.  Selection keeps the k smallest by the strict lexicographic
+ * (d2, index) order, so distance ties resolve to the lowest site index
+ * whatever order the sites are visited in.
  *
- * Selection is a bounded max-heap of k (d2, index) entries per query:
- * O(n log k) per query, no (chunk x n_points) temporary.  Returns 0 on
- * success, -1 on invalid k or allocation failure (caller validates k,
- * so -1 in practice means OOM and the caller falls back to numpy).
+ * Why pruning never drops a winner: the box gap per axis is
+ * gx = max(xmin - qx, 0, qx - xmax), and the box distance² is
+ * gx*gx + gy*gy, grouped like a site's d2.  For a site inside the box,
+ * |qx - px| >= gx holds exactly, and IEEE rounding is monotone (and
+ * sign-symmetric), so the computed |dx| >= gx, dx*dx >= gx*gx and the
+ * computed d2 >= the computed box distance².  A pruned box's distance²
+ * exceeds the k-th d2 at pruning time, which only shrinks later, so
+ * every site in it has d2 strictly above the final k-th d2 and could
+ * not have been selected.  Equal distances are never pruned, so the
+ * lowest-index tie-break sees every tied candidate.
+ *
+ * knn_tree_search returns 0 on success, -1 on invalid k/depth or
+ * allocation failure (the caller validates k, so -1 in practice means
+ * OOM and the caller falls back to numpy).
  */
+
+#define KNN_MAX_DEPTH 62
 
 static inline int knn_less(double da, int64_t ia, double db, int64_t ib)
 {
@@ -136,16 +166,119 @@ static void knn_sift_down(double *hd, int64_t *hi,
     }
 }
 
-int knn_brute(
-    const double *queries,  /* (n_queries, 2) interleaved x,y */
-    int64_t n_queries,
-    const double *points,   /* (n_points, 2) interleaved x,y  */
+/* Site a orders before site b on `axis` by (coordinate, index). */
+static inline int tree_key_less(const double *xy, const int64_t *idx,
+                                int64_t a, int64_t b, int axis)
+{
+    const double ca = xy[2 * a + axis];
+    const double cb = xy[2 * b + axis];
+    return ca < cb || (ca == cb && idx[a] < idx[b]);
+}
+
+static inline void tree_swap(double *xy, int64_t *idx, int64_t a, int64_t b)
+{
+    double t = xy[2 * a]; xy[2 * a] = xy[2 * b]; xy[2 * b] = t;
+    t = xy[2 * a + 1]; xy[2 * a + 1] = xy[2 * b + 1]; xy[2 * b + 1] = t;
+    int64_t ti = idx[a]; idx[a] = idx[b]; idx[b] = ti;
+}
+
+/* Quickselect: reorder [lo, hi) so position nth holds the site of that
+ * rank by (coordinate, index) and every site before it ranks lower.
+ * The keys are distinct (indices break coordinate ties), so
+ * median-of-three pivots partition duplicate and sorted inputs evenly. */
+static void tree_select(double *xy, int64_t *idx, int64_t lo, int64_t hi,
+                        int64_t nth, int axis)
+{
+    while (hi - lo > 1) {
+        const int64_t mid = lo + (hi - lo) / 2;
+        const int64_t last = hi - 1;
+        if (tree_key_less(xy, idx, mid, lo, axis))
+            tree_swap(xy, idx, mid, lo);
+        if (tree_key_less(xy, idx, last, lo, axis))
+            tree_swap(xy, idx, last, lo);
+        if (tree_key_less(xy, idx, mid, last, axis))
+            tree_swap(xy, idx, mid, last);  /* median now at last */
+        int64_t store = lo;
+        for (int64_t i = lo; i < last; i++)
+            if (tree_key_less(xy, idx, i, last, axis))
+                tree_swap(xy, idx, i, store++);
+        tree_swap(xy, idx, store, last);
+        if (store == nth)
+            return;
+        if (nth < store)
+            hi = store;
+        else
+            lo = store + 1;
+    }
+}
+
+static void tree_build_node(double *xy, int64_t *idx, double *boxes,
+                            int64_t node, int64_t lo, int64_t hi,
+                            int64_t level, int64_t depth)
+{
+    double x0 = xy[2 * lo], x1 = x0, y0 = xy[2 * lo + 1], y1 = y0;
+    for (int64_t j = lo + 1; j < hi; j++) {
+        const double x = xy[2 * j], y = xy[2 * j + 1];
+        if (x < x0) x0 = x;
+        if (x > x1) x1 = x;
+        if (y < y0) y0 = y;
+        if (y > y1) y1 = y;
+    }
+    double *box = boxes + 4 * node;
+    box[0] = x0; box[1] = y0; box[2] = x1; box[3] = y1;
+    if (level == depth)
+        return;
+    const int axis = (x1 - x0) >= (y1 - y0) ? 0 : 1;
+    const int64_t mid = lo + (hi - lo) / 2;
+    tree_select(xy, idx, lo, hi, mid, axis);
+    tree_build_node(xy, idx, boxes, 2 * node + 1, lo, mid, level + 1, depth);
+    tree_build_node(xy, idx, boxes, 2 * node + 2, mid, hi, level + 1, depth);
+}
+
+void knn_tree_build(
+    const double *points,   /* (n_points, 2) interleaved x,y            */
     int64_t n_points,
+    int64_t depth,          /* leaves at this level; 2^(depth+1)-1 nodes */
+    double *txy,            /* (n_points, 2) sites in tree order         */
+    int64_t *tidx,          /* (n_points) their original indices         */
+    double *boxes)          /* (2^(depth+1)-1, 4) node boxes             */
+{
+    if (n_points < 1)
+        return;
+    for (int64_t j = 0; j < n_points; j++) {
+        txy[2 * j] = points[2 * j];
+        txy[2 * j + 1] = points[2 * j + 1];
+        tidx[j] = j;
+    }
+    tree_build_node(txy, tidx, boxes, 0, 0, n_points, 0, depth);
+}
+
+/* Box distance², grouped exactly like a site's dx*dx + dy*dy. */
+static inline double knn_box_d2(const double *box, double qx, double qy)
+{
+    const double gx = dmax(dmax(box[0] - qx, 0.0), qx - box[2]);
+    const double gy = dmax(dmax(box[1] - qy, 0.0), qy - box[3]);
+    return gx * gx + gy * gy;
+}
+
+typedef struct {
+    int64_t node, lo, hi, level;
+    double bd2;
+} knn_frame;
+
+int knn_tree_search(
+    const double *queries,  /* (n_queries, 2) interleaved x,y   */
+    int64_t n_queries,
+    const double *txy,      /* knn_tree_build outputs            */
+    const int64_t *tidx,
+    int64_t n_points,
+    const double *boxes,
+    int64_t depth,
     int64_t k,
     double *dist_out,       /* (n_queries, k) sorted ascending */
     int64_t *idx_out)       /* (n_queries, k) matching indices */
 {
-    if (k < 1 || k > n_points)
+    if (k < 1 || k > n_points || depth < 0 || depth > KNN_MAX_DEPTH)
         return -1;
     double *hd = malloc((size_t)k * sizeof(double));
     int64_t *hi = malloc((size_t)k * sizeof(int64_t));
@@ -154,30 +287,60 @@ int knn_brute(
         free(hi);
         return -1;
     }
+    /* Each expansion pops one frame and pushes two, so at most one
+     * pending sibling per level plus the current frame is stacked. */
+    knn_frame stack[KNN_MAX_DEPTH + 2];
     for (int64_t q = 0; q < n_queries; q++) {
         const double qx = queries[2 * q];
         const double qy = queries[2 * q + 1];
         int64_t m = 0;
-        for (int64_t j = 0; j < n_points; j++) {
-            const double dx = qx - points[2 * j];
-            const double dy = qy - points[2 * j + 1];
-            const double d2 = dx * dx + dy * dy;
-            if (m < k) {
-                int64_t c = m++;
-                hd[c] = d2;
-                hi[c] = j;
-                while (c > 0) {  /* sift up into the max-heap */
-                    int64_t p = (c - 1) >> 1;
-                    if (!knn_less(hd[p], hi[p], hd[c], hi[c]))
-                        break;
-                    double td = hd[p]; hd[p] = hd[c]; hd[c] = td;
-                    int64_t ti = hi[p]; hi[p] = hi[c]; hi[c] = ti;
-                    c = p;
+        int64_t sp = 0;
+        /* The root is never pruned: the heap is still empty. */
+        stack[sp++] = (knn_frame){0, 0, n_points, 0, 0.0};
+        while (sp > 0) {
+            const knn_frame f = stack[--sp];
+            if (m == k && f.bd2 > hd[0])
+                continue;  /* strictly farther than the k-th: prune */
+            if (f.level == depth) {
+                for (int64_t j = f.lo; j < f.hi; j++) {
+                    const double dx = qx - txy[2 * j];
+                    const double dy = qy - txy[2 * j + 1];
+                    const double d2 = dx * dx + dy * dy;
+                    const int64_t id = tidx[j];
+                    if (m < k) {
+                        int64_t c = m++;
+                        hd[c] = d2;
+                        hi[c] = id;
+                        while (c > 0) {  /* sift up into the max-heap */
+                            int64_t p = (c - 1) >> 1;
+                            if (!knn_less(hd[p], hi[p], hd[c], hi[c]))
+                                break;
+                            double td = hd[p]; hd[p] = hd[c]; hd[c] = td;
+                            int64_t ti = hi[p]; hi[p] = hi[c]; hi[c] = ti;
+                            c = p;
+                        }
+                    } else if (knn_less(d2, id, hd[0], hi[0])) {
+                        hd[0] = d2;
+                        hi[0] = id;
+                        knn_sift_down(hd, hi, 0, k);
+                    }
                 }
-            } else if (knn_less(d2, j, hd[0], hi[0])) {
-                hd[0] = d2;
-                hi[0] = j;
-                knn_sift_down(hd, hi, 0, k);
+                continue;
+            }
+            const int64_t mid = f.lo + (f.hi - f.lo) / 2;
+            const int64_t left = 2 * f.node + 1;
+            const double dl = knn_box_d2(boxes + 4 * left, qx, qy);
+            const double dr = knn_box_d2(boxes + 4 * (left + 1), qx, qy);
+            const knn_frame lf = {left, f.lo, mid, f.level + 1, dl};
+            const knn_frame rf = {left + 1, mid, f.hi, f.level + 1, dr};
+            /* Push the farther child first so the nearer one pops
+             * first and tightens the bound sooner. */
+            if (dl <= dr) {
+                stack[sp++] = rf;
+                stack[sp++] = lf;
+            } else {
+                stack[sp++] = lf;
+                stack[sp++] = rf;
             }
         }
         /* heapsort: repeatedly move the current max to the tail, so the

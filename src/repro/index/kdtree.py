@@ -2,10 +2,11 @@
 
 NLC construction issues one kNN query per customer object against the
 service sites (Section V-C of the paper budgets ``O(|O| log |P|)`` for this
-step).  The k-d tree is the default engine for that workload; results are
-cross-validated against brute force in the test suite, and a vectorised
-brute-force path (:func:`repro.core.nlc.knn_distances`) is picked
-automatically when ``|P|`` is small enough that numpy wins.
+step).  This pure-Python k-d tree is the default engine above 4096 sites;
+results are cross-validated against brute force in the test suite, and
+the ``"brute"`` engine (:func:`repro.core.nlc.knn_chunked`: a compiled
+bucket kd-tree search, or the numpy scan without the kernel) is picked
+automatically for smaller site sets.
 """
 
 from __future__ import annotations

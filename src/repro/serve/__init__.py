@@ -1,9 +1,9 @@
 """Persistent query service over the shared NLC store.
 
 Publish a MaxBRkNN instance once — NLC SoA into a :mod:`repro.store`
-backend, site kd-tree, customer→site rank matrix, Theorem-2/3
-certificate registry — then serve batched requests against the mapped
-store with zero NLC copies per request.  Layers, bottom up:
+backend, customer→site rank matrix, Theorem-2/3 certificate registry —
+then serve batched requests against the mapped store with zero NLC
+copies per request.  Layers, bottom up:
 
 * :mod:`~repro.serve.protocol` — request/response dataclasses, the
   lossless JSON codecs (``REQUEST_KINDS`` is the drift-checked

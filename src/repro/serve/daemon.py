@@ -25,13 +25,18 @@ ephemeral port).  The surface is four JSON endpoints:
 
 Errors follow the protocol's split: per-request problems come back as
 ``error``-kind response docs (HTTP 200 — the batch succeeded), while a
-malformed envelope (bad JSON, unknown path) is an HTTP 4xx with
-``{"error": ...}``.
+malformed envelope (bad JSON, a negative or non-integer
+``Content-Length``, unknown path) is an HTTP 4xx with ``{"error": ...}``.
+Anything else a route raises — a batch that outlives
+``request_timeout``, a bug — is an HTTP 500 with the same envelope, so
+every request gets exactly one well-formed reply and the keep-alive
+connection survives.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
@@ -46,6 +51,8 @@ from repro.serve.protocol import decode_request, encode_response
 from repro.serve.service import QueryService
 
 __all__ = ["ServeDaemon", "problem_from_doc"]
+
+_LOG = logging.getLogger(__name__)
 
 _NAMED_MODELS = {
     "uniform": ProbabilityModel.uniform,
@@ -115,11 +122,20 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _read_json(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        if not (header.isascii() and header.isdigit()):
+            # The body's extent is unknown, so the stream cannot be
+            # resynchronised for a next request: answer, then close.
+            # (A negative length would make rfile.read block to EOF.)
+            self.close_connection = True
+            raise ValueError(f"invalid Content-Length {header!r}")
+        length = int(header)
         raw = self.rfile.read(length) if length else b"{}"
         doc = json.loads(raw.decode("utf-8"))
         if not isinstance(doc, dict):
@@ -174,6 +190,13 @@ class _Handler(BaseHTTPRequestHandler):
                                 {"error": f"unknown path {self.path}"})
         except (ValueError, json.JSONDecodeError) as exc:
             self._send_json(400, {"error": str(exc)})
+        except Exception as exc:
+            # The request boundary: whatever else a route raised (a
+            # Ticket.result TimeoutError, a bug) still ends in one
+            # well-formed reply instead of a dead handler thread and a
+            # reset keep-alive connection.
+            _LOG.exception("serve: POST %s failed", self.path)
+            self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
 
 
 class ServeDaemon:

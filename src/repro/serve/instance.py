@@ -6,8 +6,10 @@ request after it runs against what publish produced:
 * the NLC SoA, copied **once** into a :mod:`repro.store` backend — the
   parent and every pool worker attach read-only views by handle, so no
   request ever copies NLC bytes;
-* the site kd-tree (:func:`repro.core.nlc.build_knn_tree`), built once
-  and fed to the NLC build;
+* the site index (:func:`repro.core.nlc.build_knn_tree`), built once
+  and fed to the NLC build, then dropped: nothing after publish reads
+  it, and small long-lived arrays kept beside the build's transient
+  ones measurably raise the daemon's peak RSS;
 * the customer→site rank matrix (:func:`repro.core.queries.knn_sites`),
   the shared precomputation of every query operator;
 * the Theorem-2/3 registry: after the first *exact* solve completes,
@@ -67,13 +69,12 @@ class ServedInstance:
 
     def __init__(self, instance_id: str, problem: MaxBRkNNProblem,
                  owner: Any, nlcs: CircleSet, space: Rect,
-                 tree: Any, store: str) -> None:
+                 store: str) -> None:
         self.instance_id = instance_id
         self.problem = problem
         self.owner = owner          # NLCStore; None for a 0-NLC instance
         self.nlcs = nlcs            # attached read-only views
         self.space = space
-        self.tree = tree
         self.store = store
         self.ranks: np.ndarray = knn_sites(problem)
         # Theorem-2/3 registry, populated by the first completed exact
@@ -182,14 +183,14 @@ class InstanceRegistry:
             instance = ServedInstance(
                 instance_id=f"inst-{next(self._fallback_ids)}",
                 problem=problem, owner=None, nlcs=nlcs,
-                space=problem.data_bounds(), tree=tree, store=backend)
+                space=problem.data_bounds(), store=backend)
         else:
             owner = nlc_store.publish(nlcs, backend)
             attached = nlc_store.attach(owner.handle)
             instance = ServedInstance(
                 instance_id=str(owner.handle[1]), problem=problem,
                 owner=owner, nlcs=attached, space=nlc_space(attached),
-                tree=tree, store=backend)
+                store=backend)
         with self._lock:
             self._instances[instance.instance_id] = instance
         return instance

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.nlc import build_nlcs, knn_distances, nlc_space
+from repro import store as nlc_store
+from repro.core.nlc import (build_nlcs, build_nlcs_streaming, knn_distances,
+                            nlc_space)
 from repro.core.probability import ProbabilityModel
 from repro.core.problem import MaxBRkNNProblem
 
@@ -133,6 +135,27 @@ class TestBuildNlcs:
         assert scores[(0, 2)] == pytest.approx(0.2)
         assert scores[(1, 1)] == pytest.approx(0.2)
         assert scores[(1, 2)] == pytest.approx(0.4)
+
+    def test_score_rows_match_per_customer_loop(self, rng):
+        """Rows filled per distinct model object equal the per-customer
+        fill, bit for bit, in the batch and the streamed build (models
+        shared by several customers, and equal models that are distinct
+        objects)."""
+        pool = [ProbabilityModel.of(0.8, 0.2), ProbabilityModel.of(0.6, 0.4),
+                ProbabilityModel.of(0.6, 0.4), ProbabilityModel.uniform(2)]
+        models = [pool[i] for i in rng.integers(0, len(pool), 300)]
+        weights = rng.uniform(0.5, 1.5, 300)
+        problem = MaxBRkNNProblem(rng.random((300, 2)), rng.random((12, 2)),
+                                  k=2, weights=weights, probability=models)
+        expected = np.array([m.scores(1.0) for m in models]) * weights[:, None]
+        nlcs = build_nlcs(problem, keep_zero_score=True)
+        assert nlcs.scores.tobytes() == expected.reshape(-1).tobytes()
+        with build_nlcs_streaming(problem, store="ram", chunk_size=64,
+                                  keep_zero_score=True) as owner:
+            streamed = nlc_store.attach(owner.handle)
+            assert streamed.scores.tobytes() == nlcs.scores.tobytes()
+            assert streamed.r.tobytes() == nlcs.r.tobytes()
+            nlc_store.detach()
 
     def test_customer_on_site_zero_radius(self):
         p = MaxBRkNNProblem([(1.0, 1.0)], [(1.0, 1.0), (5, 5)], k=1)

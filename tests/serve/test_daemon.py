@@ -1,6 +1,8 @@
 """HTTP daemon + client: in-process server thread, real sockets."""
 
+import json
 import threading
+from http.client import HTTPConnection
 
 import numpy as np
 import pytest
@@ -102,6 +104,51 @@ class TestEnvelopeErrors:
                 client._request("POST", "/query",
                                 {"requests": [{"kind": "frobnicate",
                                                "instance": "i"}]})
+
+
+class TestFailClosed:
+    @pytest.mark.parametrize("length", ["-1", "12abc"])
+    def test_bad_content_length_is_400_before_reading(self, daemon,
+                                                      length):
+        """A negative length must not reach rfile.read(-1), which would
+        block until the client closed its keep-alive connection."""
+        host, port = daemon.address
+        conn = HTTPConnection(host, port, timeout=10.0)
+        try:
+            conn.putrequest("POST", "/query")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            response = conn.getresponse()
+            doc = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert response.getheader("Connection") == "close"
+        assert "Content-Length" in doc["error"]
+
+    def test_batch_timeout_is_500_and_keeps_the_connection(
+            self, daemon, serve_problem):
+        host, port = daemon.address
+        release = threading.Event()
+        service = daemon.scheduler.service
+        execute = service.execute
+
+        def stalled_execute(requests):
+            release.wait(10.0)
+            return execute(requests)
+
+        with ServeClient(host, port) as client:
+            instance_id = client.publish(_publish_body(serve_problem))
+            service.execute = stalled_execute
+            daemon.request_timeout = 0.05
+            try:
+                with pytest.raises(ServeError, match="TimeoutError"):
+                    client.query([BrknnRequest(instance_id, 0)])
+                conn = client._conn
+                assert client.health()["status"] == "ok"
+                assert client._conn is conn  # no reconnect needed
+            finally:
+                release.set()
 
 
 class TestProblemFromDoc:
