@@ -24,9 +24,7 @@ counterparts before any timing is believed:
   from-scratch ``intersect_disks`` per accepted disk).  Every point
   asserts per-region identity — score, cover, clipping_count, and
   float-identical arcs — then times both loops; aggregate budget
-  >= 2x.  A ``pooled_s`` column additionally times the same entries
-  through the :mod:`repro.engine.pool` worker pool (informational:
-  on a single-core runner it honestly pays queue + shm overhead).
+  >= 2x.
 
 Run:
 
@@ -66,7 +64,6 @@ from repro.obs import metrics as obs_metrics
 MIN_NLC_SPEEDUP = 2.0
 MIN_PHASE2_SPEEDUP = 2.0
 PHASE2_TOP_T = 8  # acceptance asks for top_t >= 4
-POOL_WORKERS = 2
 
 #: Site sets of the NLC arm beyond the instance's own uniform sites.
 SITE_SETS = {
@@ -193,8 +190,6 @@ def _phase2_point(distribution: str, n_customers: int, n_sites: int,
         run_ref()
         best_ref = min(best_ref, time.perf_counter() - t0)
 
-    pooled_s = _phase2_pooled_time(nlcs, entries, new_regions, repeats,
-                                   label)
     covers = [len(cover) for _, cover, _ in entries]
     return {
         "distribution": distribution, "n_customers": n_customers,
@@ -203,34 +198,9 @@ def _phase2_point(distribution: str, n_customers: int, n_sites: int,
         "cover_min": int(min(covers)), "cover_max": int(max(covers)),
         "incremental_s": round(best_new, 6),
         "reference_s": round(best_ref, 6),
-        "pooled_s": pooled_s,
         "speedup": round(best_ref / best_new, 3),
         "identical": True,  # asserted above, per region
     }
-
-
-def _phase2_pooled_time(nlcs, entries, serial_regions, repeats: int,
-                        label: str) -> float:
-    """Time the same entries through the worker pool (informational)."""
-    from repro.engine.pool import PersistentPool, run_phase2_pool
-
-    quads = [((quad.xmin, quad.ymin, quad.xmax, quad.ymax),
-              tuple(int(i) for i in cover), float(score))
-             for quad, cover, score in entries]
-    pool = PersistentPool(max_workers=POOL_WORKERS)
-    try:
-        with obs_metrics.REGISTRY.isolated():
-            warm = run_phase2_pool(pool, nlcs, quads)  # also spins workers
-        _assert_regions_identical(warm, serial_regions, label + "/pooled")
-        best = float("inf")
-        for _ in range(repeats):
-            with obs_metrics.REGISTRY.isolated():
-                t0 = time.perf_counter()
-                run_phase2_pool(pool, nlcs, quads)
-                best = min(best, time.perf_counter() - t0)
-    finally:
-        pool.close()
-    return round(best, 6)
 
 
 # ---------------------------------------------------------------------- #
@@ -276,7 +246,6 @@ def run(scale: str = "small", repeats: int = 5, relax: bool = False
               f"covers {row['cover_min']}..{row['cover_max']}  "
               f"incremental={row['incremental_s']:.4f}s "
               f"reference={row['reference_s']:.4f}s "
-              f"pooled={row['pooled_s']:.4f}s "
               f"speedup={row['speedup']:.2f}x")
 
     nlc_speedup = (sum(r["numpy_s"] for r in nlc_rows)

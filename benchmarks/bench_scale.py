@@ -27,7 +27,10 @@ Run:
 Writes ``BENCH_scale.json``.  The memory ceiling is asserted at every
 scale (the CI perf-gate job runs ``--tiny``); wall-clock numbers are
 informational and move with the machine, the ``peak_rss_bytes <
-rss_ceiling_bytes`` field must never move.
+rss_ceiling_bytes`` field must never move.  The solve runs with the
+:mod:`repro.obs` tracer on, and ``plan_layers_s`` splits
+``solve_timings.plan`` into the self time of the planner's three scan
+spans, asserted to cover at least 95% of it.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from repro.core.nlc import stream_nlc_chunks
 from repro.datasets.synthetic import striped_uniform_chunks, uniform_points
 from repro.engine.outofcore import solve_streamed
 from repro.obs import metrics as obs_metrics
+from repro.obs.trace import TRACER
 
 #: The asserted ceiling: the in-RAM SoA footprint of the full-scale
 #: instance.  Binding evidence of out-of-core behaviour at ``--tiny``
@@ -59,6 +63,13 @@ RSS_CEILING_BYTES = 6 * 8 * 10_000_000
 FULL = dict(n_customers=10_000_000, n_sites=1024, strips=1024, shards=64)
 TINY = dict(n_customers=200_000, n_sites=256, strips=256, shards=16)
 
+#: The planner's spans (``plan_streamed``): the bounding-box scan, the
+#: row-window scan and the per-tile seed-bound classification.
+PLAN_LAYERS = ("stream/scan_bbox", "stream/scan_windows",
+               "stream/seed_bound")
+#: Share of ``solve_timings.plan`` the three layers must account for.
+MIN_PLAN_LAYER_SHARE = 0.95
+
 #: Per-strip weight scale: one hot strip, everything else ~1000x lighter.
 HOT_FACTOR, COLD_FACTOR = 1.0, 0.001
 BUILD_CHUNKS_SEED = 0
@@ -69,6 +80,21 @@ SITES_SEED = 7
 def _peak_rss_bytes() -> int:
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return int(peak * (1 if sys.platform == "darwin" else 1024))
+
+
+def _self_seconds(records, names) -> dict:
+    """Summed self time (duration minus direct children) per span name."""
+    out = dict.fromkeys(names, 0.0)
+    for rec in records:
+        if rec.name not in out:
+            continue
+        end = rec.ts + rec.dur
+        children = sum(child.dur for child in records
+                       if child.depth == rec.depth + 1
+                       and rec.ts <= child.ts
+                       and child.ts + child.dur <= end)
+        out[rec.name] += rec.dur - children
+    return out
 
 
 def _weight_chunks(n: int, strips: int):
@@ -112,11 +138,17 @@ def run(params: dict, k: int = 1, chunk_rows: int = 1_048_576) -> dict:
     t1 = time.perf_counter()
 
     try:
-        result = solve_streamed(owner.handle, shards=params["shards"],
-                                chunk_rows=chunk_rows)
+        TRACER.reset(enabled=True)
+        try:
+            result = solve_streamed(owner.handle, shards=params["shards"],
+                                    chunk_rows=chunk_rows)
+        finally:
+            TRACER.disable()
         t2 = time.perf_counter()
         peak = _peak_rss_bytes()
         store_bytes = nlc_store.store_nbytes(owner.length)
+        plan_layers = _self_seconds(TRACER.drain(), PLAN_LAYERS)
+        plan_share = sum(plan_layers.values()) / result.timings["plan"]
         row = {
             "benchmark": "scale",
             **params, "k": k, "store": "memmap",
@@ -135,6 +167,9 @@ def run(params: dict, k: int = 1, chunk_rows: int = 1_048_576) -> dict:
             "solve_s": round(t2 - t1, 3),
             "solve_timings": {name: round(seconds, 3) for name, seconds
                               in result.timings.items()},
+            "plan_layers_s": {name: round(seconds, 3) for name, seconds
+                              in plan_layers.items()},
+            "plan_layers_share": round(plan_share, 4),
             "counters": obs_metrics.REGISTRY.delta_since(counters_before),
             "gauges": obs_metrics.REGISTRY.gauges_snapshot(),
         }
@@ -145,6 +180,11 @@ def run(params: dict, k: int = 1, chunk_rows: int = 1_048_576) -> dict:
         raise AssertionError(
             f"peak RSS {peak} >= ceiling {RSS_CEILING_BYTES}: the "
             f"out-of-core solve held too much of the instance in memory")
+    if plan_share < MIN_PLAN_LAYER_SHARE:
+        raise AssertionError(
+            f"the planner's spans cover {plan_share:.1%} of the plan "
+            f"time, below {MIN_PLAN_LAYER_SHARE:.0%}: unattributed "
+            f"planning work")
     return row
 
 
@@ -168,6 +208,10 @@ def main(argv=None) -> int:
           f"build={row['build_s']}s solve={row['solve_s']}s  "
           f"peak RSS {row['peak_rss_bytes'] / 1e6:.0f} MB < ceiling "
           f"{row['rss_ceiling_bytes'] / 1e6:.0f} MB")
+    layers = "  ".join(f"{name}={seconds}s" for name, seconds
+                       in row["plan_layers_s"].items())
+    print(f"plan={row['solve_timings']['plan']}s: {layers} "
+          f"({row['plan_layers_share']:.1%} attributed)")
     print(f"wrote {args.output}")
     return 0
 

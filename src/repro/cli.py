@@ -110,13 +110,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="tile count for --solver maxfirst-sharded "
                             "(rounded up to a full near-square grid)")
     solve.add_argument("--shard-mode",
-                       choices=("auto", "serial", "tiles", "pool",
-                                "process"),
+                       choices=("auto", "serial", "tiles", "pool"),
                        default="auto",
                        help="execution mode for --solver maxfirst-sharded: "
                             "serial = one unified in-process frontier, "
-                            "tiles = tile-at-a-time in-process, pool = "
-                            "worker processes (process is a legacy alias)")
+                            "tiles = the tile engine in-process, one row "
+                            "window at a time, pool = the same per-tile "
+                            "executor in worker processes, auto = pool "
+                            "when multi-core")
     solve.add_argument("--pool", type=int, default=None, metavar="WORKERS",
                        help="worker-process count for pool-mode sharding "
                             "(default: min(shards, cpu count))")

@@ -283,18 +283,6 @@ class MaxFirst:
     max_iterations:
         Safety valve on heap pops; ``None`` derives a generous bound from
         the instance size.
-    phase2_workers:
-        ``None`` (default) grows every region serially in-process.  A
-        positive integer routes Phase II for two or more distinct covers
-        through a :class:`repro.engine.pool.PersistentPool` of that many
-        workers against a shared-memory NLC store — worth it for large
-        ``top_t``, where many independent region growths dominate the
-        tail of the solve.  Results and the deterministic work counters
-        are identical to the serial path (the transport-only
-        ``phase2_pool_tasks`` counter records the dispatch); a broken
-        pool degrades to the serial path with a ``RuntimeWarning``.
-        Call :meth:`close` (or use the solver as a context manager) to
-        shut the pool down.
     """
 
     def __init__(self, m_threshold: int = 4, backend: str = "vector",
@@ -306,8 +294,7 @@ class MaxFirst:
                  keep_zero_score_nlcs: bool = False,
                  hotpath: str = "batched",
                  epsilon: float = 0.0,
-                 max_iterations: int | None = None,
-                 phase2_workers: int | None = None) -> None:
+                 max_iterations: int | None = None) -> None:
         if m_threshold < 1:
             raise ValueError("m_threshold must be positive")
         if degeneracy_depth < 1:
@@ -320,8 +307,6 @@ class MaxFirst:
                 f"hotpath must be one of {_HOTPATHS}, got {hotpath!r}")
         if top_t < 1:
             raise ValueError("top_t must be positive")
-        if phase2_workers is not None and phase2_workers < 1:
-            raise ValueError("phase2_workers must be positive (or None)")
         if tie_tol < 0 or resolution_fraction < 0:
             raise ValueError("tolerances must be non-negative")
         if epsilon < 0:
@@ -343,27 +328,12 @@ class MaxFirst:
         self.hotpath = hotpath
         self.epsilon = epsilon
         self.max_iterations = max_iterations
-        self.phase2_workers = phase2_workers
-        self._phase2_pool: object | None = None
         #: Certified global upper bound of the most recent Phase I run:
         #: the last popped ``m̂ax`` at an anytime stop, or the final
         #: ``MaxMin`` on natural completion (then it IS the exact score).
         #: Deliberately an attribute, not a ``MaxFirstStats`` field — the
         #: stats schema is identity-checked across execution modes.
         self.last_upper_bound: float = 0.0
-
-    def close(self) -> None:
-        """Shut the Phase II worker pool down (idempotent no-op when
-        ``phase2_workers`` is unset or the pool never started)."""
-        pool, self._phase2_pool = self._phase2_pool, None
-        if pool is not None:
-            pool.close()  # type: ignore[attr-defined]
-
-    def __enter__(self) -> "MaxFirst":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     # ------------------------------------------------------------------ #
 
@@ -433,62 +403,15 @@ class MaxFirst:
                     continue
                 seen_covers.add(key)
                 pending.append(quad)
-            regions = None
-            if self.phase2_workers is not None and len(pending) > 1:
-                regions = self._build_regions_pooled(pending, nlcs)
-            if regions is None:
-                regions = [
-                    compute_optimal_region(quad.rect, quad.containing,
-                                           nlcs, score=quad.min_hat)
-                    for quad in pending
-                ]
+            regions = [
+                compute_optimal_region(quad.rect, quad.containing,
+                                       nlcs, score=quad.min_hat)
+                for quad in pending
+            ]
             regions.sort(key=lambda r: -r.score)
             if self.top_t > 1:
                 regions = _keep_top_t(regions, self.top_t, tol)
         return regions
-
-    def _build_regions_pooled(self, pending: list,
-                              nlcs: CircleSet) -> list | None:
-        """Grow ``pending``'s regions through the worker pool, or return
-        ``None`` to let the caller fall back to the serial path.
-
-        The engine-layer import is lazy — the core layer only touches
-        :mod:`repro.engine.pool` when ``phase2_workers`` is set.  Worker
-        results come back in submission order, so the serial and pooled
-        paths hand the caller identically ordered region lists.
-        """
-        import pickle
-        import warnings
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.engine.pool import PersistentPool, run_phase2_pool
-
-        pool = self._phase2_pool
-        if not isinstance(pool, PersistentPool):
-            pool = PersistentPool(max_workers=int(self.phase2_workers or 1))
-            self._phase2_pool = pool
-        quads = [
-            ((quad.rect.xmin, quad.rect.ymin,
-              quad.rect.xmax, quad.rect.ymax),
-             tuple(int(i) for i in quad.containing),
-             float(quad.min_hat))
-            for quad in pending
-        ]
-        try:
-            return run_phase2_pool(pool, nlcs, quads)
-        # A dead worker (OOM kill, interpreter crash) or an unpicklable
-        # payload must not take the solve down: drop the executor and
-        # grow the regions serially — identical results, just slower.
-        except (BrokenProcessPool, pickle.PicklingError) as exc:
-            # repro: fallback(pooled Phase II degrades to the serial
-            # in-process region growth on worker/pickling failure)
-            warnings.warn(
-                f"Phase II pool failed ({exc!r}); growing regions "
-                "serially (identical results, slower)",
-                RuntimeWarning, stacklevel=2)
-            pool.discard()
-            self._phase2_pool = None
-            return None
 
     # ------------------------------------------------------------------ #
     # Phase I

@@ -8,7 +8,8 @@ Three pieces (see ``DESIGN.md`` § Engine layer):
   ``prepare → build_nlcs → index → search → refine → finalize`` frame with
   per-stage timings and counters in a :class:`RunReport`;
 * :mod:`repro.engine.sharded` — tile-sharded parallel Phase I with
-  cross-shard bound exchange.
+  cross-shard bound exchange, over the tile engine of
+  :mod:`repro.engine.outofcore`.
 """
 
 from repro.engine.pipeline import SolverPipeline
@@ -24,13 +25,13 @@ from repro.engine.registry import (
     solver_names,
     unregister_solver,
 )
+from repro.engine.outofcore import tile_grid
 from repro.engine.report import STAGES, RunReport
-from repro.engine.sharded import ShardedMaxFirst, ShardPlan, tile_grid
+from repro.engine.sharded import ShardedMaxFirst
 
 __all__ = [
     "STAGES",
     "RunReport",
-    "ShardPlan",
     "ShardedMaxFirst",
     "Solver",
     "SolverCapabilities",

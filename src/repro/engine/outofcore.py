@@ -1,63 +1,60 @@
-"""Out-of-core tile-at-a-time solve over a published NLC store.
+"""The tile engine: one planner, one per-tile executor, one merge.
 
-The scale tier: solve a MaxBRkNN instance whose NLC set lives in a
-:mod:`repro.store` backend (typically ``memmap``) without ever holding
-all rows in memory.  Planning scans the store in fixed-size row chunks
-(peak RSS O(chunk)), and the solve visits one tile at a time through
-:func:`repro.store.attach_slice` windows — the same slice-local index
-translation the pool workers use (:mod:`repro.engine.pool`), driven
-in-process.
+Every tile-sharded solve runs through this module, whether its NLC set
+lives in RAM or in an out-of-core store.  Planning (:func:`plan_streamed`)
+scans a :mod:`repro.store` handle in fixed-size row chunks, so peak RSS
+is O(chunk) — a ``ram`` handle makes the scan zero-copy for an in-RAM
+set.  Each tile is solved by :func:`run_tile` over its own row window
+(:func:`repro.store.attach_slice`): in-process, in tile order, by
+:func:`run_tiles` (``solve_streamed`` and ``ShardedMaxFirst``'s
+``mode="tiles"``), or in a pool worker by
+:func:`repro.engine.pool.solve_tile`.  :func:`merge` then grows each
+distinct winning cover once, over the window it was found in.
 
 Exactness
 ---------
-The streamed solve replays :class:`~repro.engine.sharded.ShardedMaxFirst`'s
-``mode="tiles"`` schedule bit for bit:
-
-* the data space is the chunk-wise union of slice bounding boxes —
-  float min/max commutes with chunking, so the box (and the resolution
-  derived from it) is identical to the in-RAM ``nlc_space``;
-* each tile's candidate row window covers *every* disk intersecting
-  the tile, so slice-local classification sums the same scores in the
-  same ascending index order as a full-set run (see
-  ``engine/pool.py`` for why the translated seed covers also prune
-  identically);
-* the per-tile seed bound is the root ``m̂in`` classified over the
-  tile's own window — equal to the planner's full-set root classify.
-
-Scores, regions, and the merged Phase I stats are therefore identical
-to the in-RAM tiles-mode solve (asserted by
-``tests/engine/test_outofcore.py``).  Only the *planning-stage* kernel
-counters may differ: the chunked scan classifies in different batch
-shapes than one full-set call.
+The planned data space is the chunk-wise union of slice bounding boxes
+plus ``nlc_space``'s margin — float min/max commutes with chunking, so
+the space (and the resolution derived from it) is bit-identical to
+``nlc_space`` over the whole set, whatever the chunk size.  Each tile's
+row window covers *every* disk intersecting the tile, so slice-local
+classification sums the same scores in the same ascending row order as
+a full-set run; seed covers translated by :func:`_slice_seeds` prune
+exactly as they would over the full set; and the per-tile seed bound is
+the tile root's ``m̂in`` over its own window, equal to a full-set
+classification of that root.  Scores, regions and merged Phase I stats
+are therefore identical to an unsharded solve's scores and regions, and
+identical across the in-process and one-worker-pool schedules down to
+the merged work counters (asserted by ``tests/engine``).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
-from dataclasses import dataclass
-from typing import Any, Iterator
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
 from repro import store as nlc_store
+from repro.core.bounds import VectorBackend
 from repro.core.maxfirst import MaxFirst
 from repro.core.quadrant import MaxFirstStats
 from repro.core.region import compute_optimal_region
 from repro.core.result import MaxBRkNNResult
-from repro.engine.pool import _slice_seeds
-from repro.engine.sharded import (_SerialBound, _ShardOutput,
-                                  _TileBackend, _extend_seed_covers,
-                                  tile_grid)
 from repro.geometry.rect import Rect
+from repro.index.circleset import CircleSet
 from repro.obs import metrics as _obs_metrics
 from repro.obs.trace import span
 from repro.store.base import StoreHandle
 
-__all__ = ["StreamPlan", "plan_streamed", "solve_streamed"]
+__all__ = ["StreamPlan", "plan_streamed", "solve_streamed", "tile_grid"]
 
-#: Same deterministic sharding-layer counters the in-RAM engine records
-#: (see ``engine/sharded.py``), so streamed reports keep the schema.
+#: Deterministic work counters of the sharding layer itself: tiles run
+#: and halo rows assigned, recorded in the parent process so every
+#: execution mode counts identically.
 _SHARD_TASKS = _obs_metrics.counter("shard_tasks")
 _HALO_ASSIGNMENTS = _obs_metrics.counter("halo_assignments")
 
@@ -67,15 +64,87 @@ _HALO_ASSIGNMENTS = _obs_metrics.counter("halo_assignments")
 _DEFAULT_CHUNK_ROWS = 262_144
 
 
+def _dyadic_cut_fraction(i: int, n: int) -> float:
+    """Cut fraction for interior grid line ``i`` of ``n`` columns.
+
+    Tile cuts must satisfy two constraints the obvious choices each
+    violate:
+
+    * **Stay in the single-process run's split-line family.**  MaxFirst
+      center-splits recursively, so every split line of the one-process
+      search sits at a dyadic fraction of the space.  A tile whose edges
+      are dyadic fractions center-splits into dyadic fractions again —
+      its internal geometry *is* a subtree geometry of the global run,
+      so near-degenerate coincidence clusters tessellate exactly as
+      cheaply as the single run handles them.  The previous golden-ratio
+      offset broke this: every tile-internal line was foreign to the
+      global run, and a cluster a foreign line sliced was tessellated to
+      far finer depths (measured 1.4x aggregate Phase I overhead on
+      fig11-uniform, concentrated at one interior coincidence point).
+
+    * **Stay off the centre.**  Synthetic (and most real) workloads pile
+      mass — and therefore circle-coincidence points — around the domain
+      centre, and a degenerate point ON a tile edge can never be
+      isolated by a point split (``split_at`` needs a strictly interior
+      point), so quadrants along the edge tessellate to the resolution
+      floor (measured ~9x Phase I overhead on fig11-normal with midpoint
+      cuts).
+
+    Both hold for the nearest *odd* multiple of ``1/m`` to ``i/n`` with
+    ``m`` the smallest power of two ``>= 4n``: odd numerators exclude
+    ``1/2`` (and keep neighbouring cuts distinct), and every cut remains
+    an exact dyadic fraction.  Correctness never depends on placement —
+    any partition merges to the identical result; only the work varies.
+    """
+    m = 16
+    while m < 4 * n:
+        m *= 2
+    j = round(i * m / n)
+    if j % 2 == 0:
+        j += 1 if i * m >= j * n else -1
+    return min(m - 1, max(1, j)) / m
+
+
+def tile_grid(space: Rect, shards: int) -> tuple[Rect, ...]:
+    """Split ``space`` into at least ``shards`` tiles on a near-square grid.
+
+    The grid is ``nx`` x ``ny`` with ``ny = floor(sqrt(shards))`` and
+    ``nx = ceil(shards / ny)``, and *every* cell is emitted: 2 gives a
+    2x1 split, 4 a 2x2, 9 a 3x3, while counts that do not factor into
+    their grid round up (5 becomes a 3x2 grid of 6 tiles).  Dropping the
+    surplus cells instead would leave part of the space uncovered, and
+    regions living only there would be silently missed.  The tiles
+    partition the space exactly (shared boundaries, no gaps); interior
+    cut lines sit at off-centre dyadic fractions — see
+    :func:`_dyadic_cut_fraction` for why both properties matter.
+    """
+    if shards < 1:
+        raise ValueError("shards must be positive")
+    ny = max(1, int(math.sqrt(shards)))
+    nx = math.ceil(shards / ny)
+    xs = ([space.xmin]
+          + [space.xmin + space.width * _dyadic_cut_fraction(i, nx)
+             for i in range(1, nx)]
+          + [space.xmax])
+    ys = ([space.ymin]
+          + [space.ymin + space.height * _dyadic_cut_fraction(i, ny)
+             for i in range(1, ny)]
+          + [space.ymax])
+    tiles = []
+    for iy in range(ny):
+        for ix in range(nx):
+            tiles.append(Rect(xs[ix], ys[iy], xs[ix + 1], ys[iy + 1]))
+    return tuple(tiles)
+
+
 @dataclass(frozen=True)
 class StreamPlan:
-    """The tile layout of one streamed solve.
+    """The tile layout of one sharded solve.
 
     ``tiles``, ``windows`` and ``candidate_counts`` are parallel:
     tile ``i`` is solved over the store rows ``windows[i] = (lo, hi)``,
     of which ``candidate_counts[i]`` actually intersect the tile.
-    Tiles no disk reaches are dropped at planning time, exactly as
-    :meth:`~repro.engine.sharded.ShardedMaxFirst.plan` drops them.
+    Tiles no disk reaches are dropped at planning time.
     """
 
     space: Rect
@@ -83,11 +152,34 @@ class StreamPlan:
     tiles: tuple[Rect, ...]
     windows: tuple[tuple[int, int], ...]
     candidate_counts: tuple[int, ...]
+    #: Proven global lower bound: the best tile-root ``m̂in`` (the score
+    #: attained everywhere inside some whole tile).  Every tile seeds
+    #: ``MaxMin`` with it, so losing tiles prune from their first pop.
     seed_bound: float
 
     @property
     def n_shards(self) -> int:
         return len(self.tiles)
+
+
+@dataclass
+class TileOutput:
+    """One tile's (or the unified frontier's) Phase I outcome.
+
+    ``entries`` preserves acceptance order: ``(min_hat, cover, rect)``
+    with ``cover`` as sorted store rows, all inside the store row range
+    ``window = (lo, hi)`` over which :func:`merge` grows the regions.
+    ``obs_counters`` / ``obs_gauges`` are the run's observability
+    registry deltas, captured under :meth:`MetricsRegistry.isolated` so
+    they reach the parent registry only through :func:`merge`.
+    """
+
+    entries: list
+    max_min: float
+    stats: dict
+    window: tuple[int, int]
+    obs_counters: dict = field(default_factory=dict)
+    obs_gauges: dict = field(default_factory=dict)
 
 
 def _chunk_bounds(length: int, chunk_rows: int) -> Iterator[tuple[int, int]]:
@@ -104,7 +196,7 @@ def plan_streamed(handle: StoreHandle, shards: int, *,
     bounding boxes into the data space, the second assigns each tile
     its candidate row window; a final per-tile root classification over
     each window yields the Theorem 2 seed bound.  Every quantity is
-    bit-identical to the in-RAM planner's (see the module docstring).
+    independent of ``chunk_rows`` (see the module docstring).
     """
     if shards < 1:
         raise ValueError("shards must be positive")
@@ -131,6 +223,9 @@ def plan_streamed(handle: StoreHandle, shards: int, *,
         margin = max(box.width, box.height, 1.0) * 1e-6
         space = box.expanded(margin)
 
+    # The GLOBAL space sizes the resolution/graze tolerance; a tile must
+    # classify at it, or its Q.I/Q.C sets (hence score sums) diverge
+    # from the single-process run.
     resolution = max(space.width, space.height) * resolution_fraction
     tiles = tile_grid(space, shards)
     n_tiles = len(tiles)
@@ -186,98 +281,149 @@ def plan_streamed(handle: StoreHandle, shards: int, *,
                       seed_bound=seed_bound)
 
 
-def solve_streamed(handle: StoreHandle, *, shards: int = 2,
-                   sync_interval: int = 1024,
-                   chunk_rows: int = _DEFAULT_CHUNK_ROWS,
-                   plan: StreamPlan | None = None,
-                   **maxfirst_options: Any) -> MaxBRkNNResult:
-    """Tile-at-a-time MaxFirst over a published store, O(window) memory.
+class _TileBackend(VectorBackend):
+    """Vector backend whose root candidate set is a tile's halo NLCs.
 
-    Solves the instance whose NLC set ``handle`` points at — published
-    with :func:`repro.store.publish` or streamed in through
-    :func:`repro.core.nlc.build_nlcs_streaming` — visiting one tile
-    window at a time.  Results (scores, regions, merged Phase I stats)
-    are bit-identical to
-    ``ShardedMaxFirst(shards=shards, mode="tiles")`` over the same
-    rows; pass a precomputed ``plan`` to amortise the planning scans
-    across repeated solves.
-
-    ``maxfirst_options`` forward to the per-tile :class:`MaxFirst`
-    (``top_t`` must stay 1, as for every sharded execution).
+    Children re-test only their parent's survivors as usual, so after the
+    root classification the search is indistinguishable from a global run
+    that reached the same rectangle.
     """
-    if maxfirst_options.get("top_t", 1) != 1:
-        raise ValueError("streamed execution requires top_t == 1")
-    solver = MaxFirst(**maxfirst_options)
-    t0 = time.perf_counter()
-    if plan is None:
-        plan = plan_streamed(handle, shards,
-                             resolution_fraction=solver.resolution_fraction,
-                             chunk_rows=chunk_rows)
-    t1 = time.perf_counter()
 
-    _SHARD_TASKS.add(plan.n_shards)
+    name = "vector-tile"
+
+    def __init__(self, nlcs: CircleSet, graze_tol: float,
+                 root: np.ndarray) -> None:
+        super().__init__(nlcs, graze_tol=graze_tol)
+        self._root = root
+
+    def root_candidates(self) -> np.ndarray:
+        return self._root
+
+
+def _slice_seeds(seeds: list, lo: int, hi: int) -> tuple:
+    """Translate store-row seed covers into a tile window's index space.
+
+    Every member shifts by ``-lo`` in the dedupe key (out-of-window
+    members go negative — they only ever feed tuple identity), while
+    the third ``members`` element keeps just the maskable in-window
+    part.  Cover sizes and score sums stay those of the full cover, so
+    the Theorem 3 cardinality and score-sum early exits fire exactly as
+    they would over the full set — which is what keeps the in-process
+    and one-worker-pool schedules' merged counters bit-identical.
+    """
+    return tuple(
+        (tuple(i - lo for i in key), score,
+         tuple(i - lo for i in key if lo <= i < hi))
+        for key, score in seeds)
+
+
+def _extend_seed_covers(seeds: list, seen: set, entries: list) -> None:
+    """Fold a tile's accepted entries into the shared seed-cover list."""
+    for min_hat, cover, _rect in entries:
+        key = tuple(int(i) for i in cover)
+        if key not in seen:
+            seen.add(key)
+            seeds.append((key, float(min_hat)))
+
+
+def run_tile(handle: StoreHandle, index: int, tile: Rect,
+             window: tuple[int, int], resolution: float,
+             options: dict[str, Any], bound: Callable[[float], float],
+             sync_interval: int, seeds: list, seen: set) -> TileOutput:
+    """Phase I over one tile, attached as its row window of the store.
+
+    The tile's halo candidates are recomputed over the window — every
+    disk meeting the tile lies inside it, so they are the full-set
+    candidates minus ``lo``.  ``bound`` is the Theorem 2 exchange
+    (publish a local bound, read back the global best): it seeds
+    ``MaxMin`` and is polled every ``sync_interval`` pops.  ``seeds``
+    holds the covers accepted by the tiles run before this one on the
+    same worker; this tile's accepted covers, shifted back to store
+    rows, join it.  Counters are captured under an isolated registry,
+    so they ship in the output and reach the parent only via
+    :func:`merge`.
+    """
+    lo, hi = window
+    with _obs_metrics.REGISTRY.isolated() as box:
+        with span(f"shard/tile{index}", rows=hi - lo):
+            # repro: store-lifecycle(uncached slice; the explicit del
+            # below releases the window before the next tile attaches —
+            # that release is the O(window) memory contract)
+            nlcs = nlc_store.attach_slice(handle, lo, hi)
+            candidates = nlcs.rects_intersecting([tile])[0]
+            backend = _TileBackend(nlcs, resolution, candidates)
+            accepted, max_min, stats = MaxFirst(**options).run_phase1(
+                nlcs, tile, backend=backend, resolution=resolution,
+                initial_bound=bound(0.0), bound_sync=bound,
+                sync_interval=sync_interval,
+                seed_covers=_slice_seeds(seeds, lo, hi))
+            bound(max_min)
+            entries = [(quad.min_hat, quad.containing + lo, quad.rect)
+                       for quad in accepted]
+            _extend_seed_covers(seeds, seen, entries)
+            # The backend's packed matrix and the slice's mapped pages
+            # are O(window); letting two tiles' copies coexist would
+            # double the solve's memory high-water.
+            del nlcs, candidates, backend, accepted
+    return TileOutput(entries=entries, max_min=max_min,
+                      stats=stats.as_dict(), window=window,
+                      obs_counters=dict(box["counters"]),
+                      obs_gauges=dict(box["gauges"]))
+
+
+class _SerialBound:
+    """In-process best-bound cell with the worker sync() contract."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, initial: float) -> None:
+        self.value = float(initial)
+
+    def sync(self, local: float) -> float:
+        if local > self.value:
+            self.value = local
+        return self.value
+
+
+def run_tiles(handle: StoreHandle, plan: StreamPlan,
+              options: dict[str, Any],
+              sync_interval: int) -> list[TileOutput]:
+    """Run every planned tile in-process, one window at a time.
+
+    Tiles run in tile order, each seeded with the best bound and the
+    accepted covers of the tiles before it — exactly the schedule a
+    one-worker pool pops off its queue, which is why the two merge
+    bit-identical work counters.
+    """
     bound = _SerialBound(plan.seed_bound)
     seeds: list[tuple[tuple[int, ...], float]] = []
     seen: set[tuple[int, ...]] = set()
-    outputs: list[_ShardOutput] = []
-    for i, (tile, (lo, hi)) in enumerate(zip(plan.tiles, plan.windows)):
-        with _obs_metrics.REGISTRY.isolated() as box:
-            with span(f"stream/tile{i}", rows=hi - lo):
-                # repro: store-lifecycle(uncached slice; the explicit
-                # del below releases the window before the next tile
-                # attaches — that release is the memory contract here)
-                nlcs = nlc_store.attach_slice(handle, lo, hi)
-                candidates = nlcs.rects_intersecting([tile])[0]
-                backend = _TileBackend(nlcs, plan.resolution, candidates)
-                tile_solver = MaxFirst(**maxfirst_options)
-                accepted, max_min, stats = tile_solver.run_phase1(
-                    nlcs, tile, backend=backend,
-                    resolution=plan.resolution,
-                    initial_bound=bound.get(), bound_sync=bound.sync,
-                    sync_interval=sync_interval,
-                    seed_covers=_slice_seeds(seeds, lo, hi))
-                bound.sync(max_min)
-                entries = [(quad.min_hat, quad.containing + lo, quad.rect)
-                           for quad in accepted]
-                _extend_seed_covers(seeds, seen, entries)
-                # Release this window before the next attaches: the
-                # backend's packed matrix and the slice's mapped pages
-                # are O(window), and letting two tiles' copies coexist
-                # would double the solve's memory high-water.
-                del nlcs, candidates, backend, accepted
-        outputs.append(_ShardOutput(
-            entries=entries, max_min=max_min, stats=stats.as_dict(),
-            obs_counters=dict(box["counters"]),
-            obs_gauges=dict(box["gauges"])))
-    t2 = time.perf_counter()
-
-    max_min, regions, merged = _merge_streamed(handle, plan, outputs,
-                                               solver.tie_tol)
-    t3 = time.perf_counter()
-    return MaxBRkNNResult(
-        score=max_min, regions=tuple(regions),
-        nlcs=nlc_store.attach(handle), space=plan.space, stats=merged,
-        timings={"plan": t1 - t0, "phase1": t2 - t1, "phase2": t3 - t2})
+    return [run_tile(handle, i, tile, window, plan.resolution, options,
+                     bound.sync, sync_interval, seeds, seen)
+            for i, (tile, window) in enumerate(zip(plan.tiles,
+                                                   plan.windows))]
 
 
-def _merge_streamed(handle: StoreHandle, plan: StreamPlan,
-                    outputs: list[_ShardOutput], tie_tol: float
-                    ) -> tuple[float, list, MaxFirstStats]:
-    """:meth:`ShardedMaxFirst.merge`, growing regions from tile slices.
+def merge(handle: StoreHandle, outputs: list[TileOutput], tie_tol: float
+          ) -> tuple[float, list, MaxFirstStats]:
+    """Merge tile outputs: global best, deduped regions, summed stats.
 
-    Entries are visited in tile order then acceptance order, covers
-    deduplicate on first sight, and only entries within the tie
-    tolerance of the global best grow regions — each grown over its own
-    tile's window (the cover lies wholly inside it) with the cover
-    indices translated back to store rows afterwards, so the emitted
-    regions are bit-identical to a full-set Phase II.
+    Mirrors :meth:`MaxFirst.build_regions`: entries are visited in
+    output order then acceptance order, covers deduplicate on first
+    sight, and only entries within the tie tolerance of the global best
+    grow regions — each grown over its output's window (the cover lies
+    wholly inside it) with the cover indices translated back to store
+    rows afterwards, so the emitted regions are bit-identical to a
+    full-set Phase II.  The outputs' counters and gauges enter the
+    parent registry here and nowhere else.
     """
     max_min = max((out.max_min for out in outputs), default=0.0)
     tol = tie_tol * max(1.0, abs(max_min))
     regions = []
     seen_covers: set[tuple[int, ...]] = set()
     with span("stream/merge", tiles=len(outputs)):
-        for out, (lo, hi) in zip(outputs, plan.windows):
+        for out in outputs:
+            lo, hi = out.window
             window = None
             for min_hat, cover, rect in out.entries:
                 if min_hat < max_min - tol:
@@ -288,7 +434,7 @@ def _merge_streamed(handle: StoreHandle, plan: StreamPlan,
                 seen_covers.add(key)
                 if window is None:
                     # repro: store-lifecycle(uncached slice, one per
-                    # tile at most, dropped when `window` goes out of
+                    # output at most, dropped when `window` goes out of
                     # scope with the loop iteration)
                     window = nlc_store.attach_slice(handle, lo, hi)
                 local = np.asarray(cover, dtype=np.int64) - lo
@@ -306,3 +452,40 @@ def _merge_streamed(handle: StoreHandle, plan: StreamPlan,
         _obs_metrics.REGISTRY.merge_counts(out.obs_counters)
         _obs_metrics.REGISTRY.merge_gauges_max(out.obs_gauges)
     return max_min, regions, MaxFirstStats(**merged)
+
+
+def solve_streamed(handle: StoreHandle, *, shards: int = 2,
+                   sync_interval: int = 1024,
+                   chunk_rows: int = _DEFAULT_CHUNK_ROWS,
+                   plan: StreamPlan | None = None,
+                   **maxfirst_options: Any) -> MaxBRkNNResult:
+    """Tile-at-a-time MaxFirst over a published store, O(window) memory.
+
+    Solves the instance whose NLC set ``handle`` points at — published
+    with :func:`repro.store.publish` or streamed in through
+    :func:`repro.core.nlc.build_nlcs_streaming` — visiting one tile
+    window at a time.  This is ``ShardedMaxFirst(shards=shards,
+    mode="tiles")`` over the same rows; pass a precomputed ``plan`` to
+    amortise the planning scans across repeated solves.
+
+    ``maxfirst_options`` forward to the per-tile :class:`MaxFirst`
+    (``top_t`` must stay 1, as for every sharded execution).
+    """
+    if maxfirst_options.get("top_t", 1) != 1:
+        raise ValueError("streamed execution requires top_t == 1")
+    solver = MaxFirst(**maxfirst_options)
+    t0 = time.perf_counter()
+    if plan is None:
+        plan = plan_streamed(handle, shards,
+                             resolution_fraction=solver.resolution_fraction,
+                             chunk_rows=chunk_rows)
+    t1 = time.perf_counter()
+    _SHARD_TASKS.add(plan.n_shards)
+    outputs = run_tiles(handle, plan, maxfirst_options, sync_interval)
+    t2 = time.perf_counter()
+    max_min, regions, merged = merge(handle, outputs, solver.tie_tol)
+    t3 = time.perf_counter()
+    return MaxBRkNNResult(
+        score=max_min, regions=tuple(regions),
+        nlcs=nlc_store.attach(handle), space=plan.space, stats=merged,
+        timings={"plan": t1 - t0, "phase1": t2 - t1, "phase2": t3 - t2})

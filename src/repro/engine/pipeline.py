@@ -203,9 +203,9 @@ class SolverPipeline:
         published once and every later stage reads zero-copy views
         over the segment / paged file; ``"ram"`` (the default) keeps
         the in-process arrays untouched.  A solver exposing an
-        ``external_store`` slot (sharded pool mode) reuses the
-        published handle as its transport instead of publishing a
-        second copy.
+        ``external_store`` slot (the sharded solver) plans, runs and
+        merges its tiles over the published handle instead of
+        publishing a second copy.
         """
         from repro import store as nlc_store
 
@@ -348,8 +348,7 @@ class ShardedMaxFirstPipeline(_NlcStageMixin, SolverPipeline):
         ctx.report.meta["workers"] = (self.solver.max_workers
                                       or min(self.solver.shards,
                                              os.cpu_count() or 1))
-        ctx.report.meta["shard_nlcs"] = [int(c.shape[0])
-                                         for c in ctx.plan.candidates]
+        ctx.report.meta["shard_nlcs"] = list(ctx.plan.candidate_counts)
 
     def search(self, ctx: PipelineContext) -> None:
         ctx.outputs = self.solver.execute(ctx.nlcs, ctx.plan)

@@ -1,35 +1,37 @@
-"""Persistent worker pool for sharded Phase I.
+"""Persistent worker pool for sharded Phase I and pooled serving.
 
 One :class:`PersistentPool` lives per :class:`~repro.engine.sharded.ShardedMaxFirst`
-instance and is reused across tiles, pipeline stages, and repeated
-``solve()`` calls — process startup (interpreter boot plus the numpy and
-kernel imports) is paid once, not per solve.  The start method is
-``forkserver`` where available (workers inherit a warmed template
-process, immune to the parent's thread state) with a ``spawn`` fallback;
-``fork`` is deliberately not used — a forked worker would snapshot the
-parent's metrics registry and tracer mid-solve.
+instance (and per pooled :class:`~repro.serve.service.QueryService`) and
+is reused across tiles, pipeline stages, and repeated ``solve()`` calls
+— process startup (interpreter boot plus the numpy and kernel imports)
+is paid once, not per solve.  The start method is ``forkserver`` where
+available (workers inherit a warmed template process, immune to the
+parent's thread state) with a ``spawn`` fallback; ``fork`` is
+deliberately not used — a forked worker would snapshot the parent's
+metrics registry and tracer mid-solve.
 
 Workers never receive NLC payloads: tiles arrive as a few-dozen-byte
 job tuple carrying a storage-backend handle (:mod:`repro.store`) plus
-the tile's candidate row window ``[lo, hi)``, and each worker attaches
-read-only views over *just that slice* — an ``shm``/``memmap`` worker
-maps O(hi - lo) bytes, not the whole store.  (A ``ram`` handle ships
-the arrays by value; it is the compatibility transport, not the
-default.)  Tile jobs are submitted individually to the executor, whose
-single internal call queue is the work-stealing mechanism: any idle
-worker pulls the next tile, so a dense tile cannot straggle the run
-behind a static assignment.
+the tile's row window ``[lo, hi)``, and each worker runs the tile
+engine's per-tile executor (:func:`repro.engine.outofcore.run_tile`),
+which attaches read-only views over *just that slice* — an
+``shm``/``memmap`` worker maps O(hi - lo) bytes, not the whole store.
+(A ``ram`` handle ships the arrays by value; it is the compatibility
+transport, not the default.)  Tile jobs are submitted individually to
+the executor, whose single internal call queue is the work-stealing
+mechanism: any idle worker pulls the next tile, so a dense tile cannot
+straggle the run behind a static assignment.
 
 Worker-local seed covers
 ------------------------
 Each worker accumulates the covers it accepts during one epoch and
 seeds them into its later tiles (Theorem 3 prunes a quadrant whose
 ``Q.I`` is a subset of a known cover).  With one worker this reproduces
-the serial schedule exactly — tile ``i`` is seeded with every cover
-tiles ``0..i-1`` accepted — which is what keeps serial and pool merged
-counters bit-identical at ``max_workers=1``.  With more workers each
-worker seeds only its own history; results are still exact (seeds only
-ever *prune* work), merely the work counters shift.
+the in-process ``tiles`` schedule exactly — tile ``i`` is seeded with
+every cover tiles ``0..i-1`` accepted — which is what keeps tiles and
+pool merged counters bit-identical at ``max_workers=1``.  With more
+workers each worker seeds only its own history; results are still exact
+(seeds only ever *prune* work), merely the work counters shift.
 """
 
 from __future__ import annotations
@@ -40,22 +42,15 @@ from typing import Any
 from repro.obs import metrics as _obs_metrics
 from repro.obs.trace import TRACER
 
-__all__ = ["PersistentPool", "WORKER_ENTRY_POINTS", "grow_regions",
-           "run_phase2_pool", "serve_query_batch", "solve_tile"]
+__all__ = ["PersistentPool", "WORKER_ENTRY_POINTS", "serve_query_batch",
+           "solve_tile"]
 
 #: Functions that run inside pool worker processes.  The analysis
 #: layer's call graph roots its worker-reachability marking here (in
 #: addition to detecting direct ``submit(...)`` first arguments), so
 #: keep this tuple in sync when adding a worker entry.
 WORKER_ENTRY_POINTS: tuple[str, ...] = (
-    "_init_pool_worker", "solve_tile", "grow_regions",
-    "serve_query_batch")
-
-#: Transport counter: Phase II region jobs dispatched through the pool.
-#: Like ``pool_tasks`` it depends on worker topology (a serial Phase II
-#: dispatches none), so it is excluded from the perf gate and identity
-#: checks.
-_PHASE2_POOL_TASKS = _obs_metrics.counter("phase2_pool_tasks")
+    "_init_pool_worker", "solve_tile", "serve_query_batch")
 
 # ---------------------------------------------------------------------- #
 # Worker-process globals (set by the pool initializer / per-epoch)
@@ -66,8 +61,8 @@ _PHASE2_POOL_TASKS = _obs_metrics.counter("phase2_pool_tasks")
 _SHARED_BOUND: Any = None
 
 #: This worker's seed-cover history for the current epoch:
-#: ``(epoch, store_key, seeds, seen)`` — seeds live in *global* NLC
-#: index space and are translated per tile (:func:`_slice_seeds`).
+#: ``(epoch, store_key, seeds, seen)`` — seeds live in store-row index
+#: space; the per-tile executor translates them into each tile window.
 _EPOCH_STATE: list = [(-1, "", [], set())]
 
 
@@ -120,116 +115,36 @@ def _epoch_seeds(epoch: int, store_key: str) -> tuple[list, set]:
     return seeds, seen
 
 
-def _slice_seeds(seeds: list, lo: int, hi: int) -> tuple:
-    """Translate global seed covers into a tile slice's index space.
-
-    Every member shifts by ``-lo`` in the dedupe key (out-of-window
-    members go negative — they only ever feed tuple identity), while
-    the third ``members`` element keeps just the maskable in-window
-    part.  Cover sizes and score sums stay those of the full cover, so
-    the Theorem 3 cardinality and score-sum early exits fire exactly as
-    they would over the full set — which is what keeps ``tiles`` and
-    one-worker ``pool`` merged counters bit-identical now that workers
-    attach only a row slice.
-    """
-    return tuple(
-        (tuple(i - lo for i in key), score,
-         tuple(i - lo for i in key if lo <= i < hi))
-        for key, score in seeds)
-
-
 def solve_tile(job: tuple) -> tuple:
-    """Worker entry: solve one tile against a slice of the NLC store.
+    """Worker entry: one tile through the tile engine's executor.
 
-    ``job`` ships a store handle plus the tile's candidate row window
-    ``[lo, hi)``; the worker attaches read-only views over that slice
-    only and runs Phase I in slice-local indices — incoming seed covers
-    shift by ``-lo`` (:func:`_slice_seeds`), accepted covers shift back
-    before shipping.  Returns ``(tile_index, worker_pid, entries,
-    max_min, stats, obs_counters, obs_gauges, spans)``; ``entries``
-    carry global NLC indices so the parent's merge is mode-independent.
+    ``job`` ships a store handle plus the tile and its row window
+    ``[lo, hi)``; :func:`repro.engine.outofcore.run_tile` attaches just
+    that slice, exchanges bounds through the shared cell, and seeds
+    Theorem 3 with this worker's epoch history.  Returns
+    ``(tile_index, worker_pid, output, spans)``; the output's entries
+    carry store rows, so the parent's merge is mode-independent.
     """
-    (epoch, handle, tile_tuple, lo, hi, tile_index, resolution,
+    (epoch, handle, tile_tuple, window, tile_index, resolution,
      options, sync_interval, trace_enabled, fail) = job
-    from repro import store as nlc_store
-    from repro.core.maxfirst import MaxFirst
-    from repro.engine.sharded import _TileBackend, _extend_seed_covers
+    from repro.engine.outofcore import run_tile
     from repro.geometry.rect import Rect
     from repro.store import sanitize
 
     # Persistent workers carry the previous task's tracer records —
     # reset per task so each shipped span set covers exactly this tile.
     TRACER.reset(enabled=bool(trace_enabled))
-    with sanitize.task("solve_tile"), _obs_metrics.REGISTRY.isolated() as box:
-        with TRACER.span(f"shard/tile{tile_index}"):
-            seeds, seen = _epoch_seeds(epoch, handle[1])
-            nlcs = nlc_store.attach_slice(handle, lo, hi)
-            if fail:
-                raise RuntimeError(
-                    f"injected failure in tile {tile_index} (test hook)")
-            tile = Rect(*tile_tuple)
-            # Halo candidates are recomputed here over the slice — bit-
-            # identical to the parent's plan minus ``lo``, since every
-            # global candidate lies inside the shipped window and the
-            # predicate is uncounted in both places.  Cheaper than
-            # pickling an index array per tile, and it keeps the job
-            # payload O(1).
-            candidates = nlcs.rects_intersecting([tile])[0]
-            solver = MaxFirst(**options)
-            backend = _TileBackend(nlcs, resolution, candidates)
-            initial = _shared_sync(0.0)
-            accepted, max_min, stats = solver.run_phase1(
-                nlcs, tile, backend=backend, resolution=resolution,
-                initial_bound=initial, bound_sync=_shared_sync,
-                sync_interval=sync_interval,
-                seed_covers=_slice_seeds(seeds, lo, hi))
-            _shared_sync(max_min)
-            entries = [(quad.min_hat, quad.containing + lo, quad.rect)
-                       for quad in accepted]
-            _extend_seed_covers(seeds, seen, entries)
+    with sanitize.task("solve_tile"):
+        seeds, seen = _epoch_seeds(epoch, handle[1])
+        if fail:
+            raise RuntimeError(
+                f"injected failure in tile {tile_index} (test hook)")
+        output = run_tile(handle, tile_index, Rect(*tile_tuple), window,
+                          resolution, options, _shared_sync,
+                          sync_interval, seeds, seen)
     spans = ([record.as_dict() for record in TRACER.drain()]
              if trace_enabled else [])
-    return (tile_index, os.getpid(), entries, max_min, stats.as_dict(),
-            dict(box["counters"]), dict(box["gauges"]), spans)
-
-
-def grow_regions(job: tuple) -> tuple:
-    """Worker entry: grow Phase II regions against the published store.
-
-    ``job`` is ``(handle, entries, trace_enabled)`` with ``entries`` a
-    list of ``(rect_tuple, cover_tuple, score)`` triples.  Returns
-    ``(regions, obs_counters, obs_gauges, spans)``;
-    ``compute_optimal_region`` runs exactly as in the serial path, so
-    the merged ``region_grows`` / ``phase2_clips`` counters stay
-    bit-identical to a serial Phase II.
-    """
-    (handle, entries, trace_enabled) = job
-    import numpy as np
-
-    from repro import store as nlc_store
-    from repro.core.region import compute_optimal_region
-    from repro.geometry.rect import Rect
-    from repro.store import sanitize
-
-    TRACER.reset(enabled=bool(trace_enabled))
-    with sanitize.task("grow_regions"), \
-            _obs_metrics.REGISTRY.isolated() as box:
-        with TRACER.span("phase2/pool_batch", regions=len(entries)):
-            # Keep only this solve's store mapped (same rotation the
-            # Phase I epoch turn performs); the attachment cache makes
-            # every job after a worker's first a pure cache hit.
-            nlc_store.detach(keep=(handle[1],))
-            nlcs = nlc_store.attach(handle)
-            regions = [
-                compute_optimal_region(
-                    Rect(*rect_tuple),
-                    np.asarray(cover, dtype=np.int64), nlcs,
-                    score=score)
-                for rect_tuple, cover, score in entries
-            ]
-    spans = ([record.as_dict() for record in TRACER.drain()]
-             if trace_enabled else [])
-    return (regions, dict(box["counters"]), dict(box["gauges"]), spans)
+    return (tile_index, os.getpid(), output, spans)
 
 
 #: This worker's cached serve instance: ``(instance_key, problem,
@@ -277,7 +192,7 @@ def serve_query_batch(job: tuple) -> tuple:
                 from repro.core.queries import knn_sites
 
                 # Rotate: keep only this instance's store mapped (same
-                # idiom as the Phase I epoch turn / grow_regions).
+                # idiom as the Phase I epoch turn).
                 if handle is not None:
                     nlc_store.detach(keep=(handle[1],))
                     nlcs = nlc_store.attach(handle)
@@ -300,52 +215,6 @@ def serve_query_batch(job: tuple) -> tuple:
              if trace_enabled else [])
     return (docs, new_certificate, dict(box["counters"]),
             dict(box["gauges"]), spans)
-
-
-def run_phase2_pool(pool: "PersistentPool", nlcs: Any,
-                    quads: list, store: str | None = None) -> list:
-    """Grow the regions of ``quads`` through a worker pool.
-
-    ``quads`` is a list of ``(rect_tuple, cover_tuple, score)`` triples
-    in the order the serial Phase II would process them; the returned
-    regions keep that order, so the caller's sort/top-t handling is
-    topology-independent.  The NLC set is published once through the
-    storage backend named by ``store`` (default ``shm``; ``REPRO_STORE``
-    overrides), one job is dispatched per region (the executor queue is
-    the load balancer — region growth cost varies wildly with cover
-    size), and worker counters/gauges/spans are merged back exactly as
-    the Phase I shard merge does.
-    """
-    from repro import store as nlc_store
-    from repro.obs.trace import span
-
-    backend_name = nlc_store.resolve_store_name(store, default="shm")
-    trace_enabled = TRACER.enabled
-    with span("phase2/store_publish", nlcs=len(nlcs),
-              store=backend_name):
-        owner = nlc_store.publish(nlcs, backend_name)
-    handle = owner.handle
-    _PHASE2_POOL_TASKS.add(len(quads))
-    launch_ts = TRACER.now() if trace_enabled else 0.0
-    futures = []
-    try:
-        for entry in quads:
-            job = (handle, [entry], trace_enabled)
-            futures.append(pool.submit_call(grow_regions, job))
-        with span("phase2/pool_wait", regions=len(quads)):
-            results = [future.result() for future in futures]
-    finally:
-        for future in futures:
-            future.cancel()
-        owner.close()
-    regions: list = []
-    for i, (regs, counters, gauges, spans) in enumerate(results):
-        regions.extend(regs)
-        _obs_metrics.REGISTRY.merge_counts(counters)
-        _obs_metrics.REGISTRY.merge_gauges_max(gauges)
-        if trace_enabled:
-            TRACER.ingest(spans, pid=i + 1, ts_offset=launch_ts)
-    return regions
 
 
 class PersistentPool:
@@ -413,5 +282,5 @@ class PersistentPool:
         return self.executor().submit(solve_tile, job)
 
     def submit_call(self, fn: Any, job: tuple) -> Any:
-        """Queue an arbitrary worker entry (e.g. :func:`grow_regions`)."""
+        """Queue an arbitrary worker entry (e.g. :func:`serve_query_batch`)."""
         return self.executor().submit(fn, job)

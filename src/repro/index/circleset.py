@@ -380,72 +380,6 @@ class CircleSet:
         return (self.cx[candidates], self.cy[candidates],
                 self.r[candidates])
 
-    # ------------------------------------------------------------------ #
-    # Shared-memory transport (zero-copy hand-off to worker processes)
-    # ------------------------------------------------------------------ #
-
-    def to_shared(self):
-        """Publish the SoA arrays into one shared-memory store.
-
-        Compatibility shim over :func:`repro.store.publish` with the
-        ``shm`` backend — the segment lifecycle (attachment cache,
-        BufferError graveyard, finally-unlink) lives in
-        :mod:`repro.store.shm` since the storage-tier refactor.  Ship
-        the returned store's picklable ``handle`` to workers and
-        rebuild views with :meth:`from_shared`; the caller owns the
-        lifecycle via ``close()`` (idempotent, exception-safe).
-        """
-        from repro import store
-
-        return store.get_backend("shm").publish(self)
-
-    @classmethod
-    def from_shared(cls, handle) -> "CircleSet":
-        """Rebuild a ``CircleSet`` as zero-copy views onto a store.
-
-        Compatibility shim over :func:`repro.store.attach`.  Accepts a
-        full store handle from any backend, or the legacy
-        ``(name, length)`` pair for a shm segment published with
-        capacity == length.  Attachments are cached per process (keyed
-        by store key); views are read-only — ``CircleSet`` never
-        mutates its arrays, and a stray write in a worker must fail
-        loudly rather than corrupt every sibling's data.
-        """
-        from repro import store
-
-        if len(handle) == 2:  # legacy (name, length) shm pair
-            name, length = handle
-            handle = ("shm", name, int(length), int(length), None)
-        return store.attach(handle)
-
-
-def detach_shared(keep: tuple[str, ...] = ()) -> None:
-    """Drop this process's cached shm attachments (worker epoch turn).
-
-    Compatibility shim over the shm backend's ``detach`` — ``keep``
-    names segment/store keys whose mappings survive.  Views handed out
-    earlier become invalid — callers rotate stores between solves,
-    never during one.
-    """
-    from repro import store
-
-    store.get_backend("shm").detach(keep)
-
-
-def _shared_nlc_store():
-    from repro.store.shm import ShmStore
-
-    return ShmStore
-
-
-def __getattr__(name: str):
-    if name == "SharedNLCStore":
-        # Legacy alias for the relocated shm store owner (lazy to keep
-        # repro.store importing circleset without a cycle).
-        return _shared_nlc_store()
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
-
 
 class RectClassifier:
     """Prepared batched rectangle classifier for one graze tolerance.

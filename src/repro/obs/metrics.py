@@ -14,7 +14,7 @@ Increment sites hold a :class:`Counter` handle (module-level, fetched
 once) and call ``handle.add(n)``; the handle mutates the registry's
 dict in place, so :meth:`MetricsRegistry.isolated` can swap that dict
 out and back to capture a delta without invalidating any handle — the
-mechanism behind per-shard counter capture in ``engine/sharded.py``.
+mechanism behind per-tile counter capture in ``engine/outofcore.py``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ TRANSPORT_COUNTER_KEYS: tuple[str, ...] = (
     "shm_bytes_mapped",
     "pool_tasks",
     "tiles_stolen",
-    "phase2_pool_tasks",
     "store_slice_views",
 )
 

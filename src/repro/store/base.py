@@ -22,8 +22,8 @@ Three backends implement the protocol (see :mod:`repro.store`):
     crossing a process boundary costs O(n) pickling (documented — it is
     the compatibility backend, not the transport of choice).
 ``shm``
-    one ``multiprocessing.shared_memory`` segment (the PR-5 zero-copy
-    transport, relocated here from ``CircleSet.to_shared``).
+    one ``multiprocessing.shared_memory`` segment (the zero-copy pool
+    transport).
 ``memmap``
     a single file with a JSON header, attached as ``mmap`` views — the
     out-of-core tier: only the pages a consumer touches enter RSS, and

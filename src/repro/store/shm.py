@@ -6,12 +6,11 @@ publishes once; pool workers attach read-only views — of the whole
 store or of a tile's row slice — by segment name, so tile jobs ship a
 few dozen bytes instead of the NLC payload.
 
-The entire segment lifecycle lives here (moved out of
-``CircleSet.to_shared/from_shared/detach_shared``): the per-process
-attachment cache, the BufferError graveyard for mappings whose numpy
-views outlive a detach, and the owner-side finally-unlink backstop.  A
-worker that dies mid-attach leaks nothing: its mapping vanishes with
-the process, and the name is the owner's to unlink —
+The entire segment lifecycle lives here: the per-process attachment
+cache, the BufferError graveyard for mappings whose numpy views outlive
+a detach, and the owner-side finally-unlink backstop.  A worker that
+dies mid-attach leaks nothing: its mapping vanishes with the process,
+and the name is the owner's to unlink —
 ``tests/store/test_backends.py`` kills a worker between map and use to
 prove it.
 """
@@ -81,11 +80,6 @@ class ShmStore(NLCStore):
         super().__init__("shm", seg.name, length, capacity)
         self._seg = seg
         self._finalizer = weakref.finalize(self, _release_segment, seg)
-
-    @property
-    def name(self) -> str:
-        """Legacy alias (pre-store API) for the segment name."""
-        return self.key
 
     @property
     def nbytes(self) -> int:

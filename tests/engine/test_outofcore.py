@@ -3,8 +3,8 @@
 The acceptance bar: a streamed, window-at-a-time solve over a published
 store replays ``ShardedMaxFirst(mode="tiles")`` bit for bit — scores,
 region covers, areas, AND the merged Phase I stats — and its chunked
-planning scans reproduce the in-RAM planner's space, tiles, windows and
-seed bound exactly, whatever the chunk size.
+planning scans reproduce the full-set space, tile halos and seed bound
+exactly, whatever the chunk size.
 """
 
 import numpy as np
@@ -12,10 +12,10 @@ import pytest
 
 from repro import store as nlc_store
 from repro.core.maxfirst import MaxFirst
-from repro.core.nlc import build_nlcs
+from repro.core.nlc import build_nlcs, nlc_space
 from repro.core.problem import MaxBRkNNProblem
 from repro.datasets.synthetic import synthetic_instance
-from repro.engine.outofcore import plan_streamed, solve_streamed
+from repro.engine.outofcore import plan_streamed, solve_streamed, tile_grid
 from repro.engine.sharded import ShardedMaxFirst
 from repro.index.circleset import CircleSet
 
@@ -89,16 +89,22 @@ class TestPlanParity:
     def test_plan_matches_inram_planner(self, shards, published):
         nlcs = _nlcs(k=2, seed=17)
         owner = published(nlcs, "memmap")
-        streamed = plan_streamed(owner.handle, shards)
-        inram = ShardedMaxFirst(shards=shards, mode="tiles").plan(nlcs)
-        assert streamed.space == inram.space
-        assert streamed.resolution == inram.resolution
-        assert streamed.tiles == inram.tiles
-        assert streamed.seed_bound == inram.seed_bound
-        assert len(streamed.windows) == len(inram.candidates)
-        for (lo, hi), cand, count in zip(streamed.windows,
-                                         inram.candidates,
-                                         streamed.candidate_counts):
+        streamed = plan_streamed(owner.handle, shards, chunk_rows=17)
+        space = nlc_space(nlcs)
+        assert streamed.space == space
+        assert streamed.resolution == (max(space.width, space.height)
+                                       * MaxFirst().resolution_fraction)
+        grid = tile_grid(space, shards)
+        kept = [(tile, cand) for tile, cand
+                in zip(grid, nlcs.rects_intersecting(grid))
+                if cand.shape[0]]
+        assert streamed.tiles == tuple(tile for tile, _ in kept)
+        roots = nlcs.classify_rects(list(streamed.tiles),
+                                    graze_tol=streamed.resolution)
+        assert streamed.seed_bound == max(root[3] for root in roots)
+        assert len(streamed.windows) == len(kept)
+        for (lo, hi), (_, cand), count in zip(streamed.windows, kept,
+                                              streamed.candidate_counts):
             assert lo == int(cand[0])
             assert hi == int(cand[-1]) + 1
             assert count == cand.shape[0]
