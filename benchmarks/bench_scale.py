@@ -64,7 +64,8 @@ FULL = dict(n_customers=10_000_000, n_sites=1024, strips=1024, shards=64)
 TINY = dict(n_customers=200_000, n_sites=256, strips=256, shards=16)
 
 #: The planner's spans (``plan_streamed``): the bounding-box scan, the
-#: row-window scan and the per-tile seed-bound classification.
+#: grid-binned halo pass that yields the row windows, and the
+#: seed-bound classification of the tiles some disk contains.
 PLAN_LAYERS = ("stream/scan_bbox", "stream/scan_windows",
                "stream/seed_bound")
 #: Share of ``solve_timings.plan`` the three layers must account for.

@@ -4,7 +4,12 @@ Every tile-sharded solve runs through this module, whether its NLC set
 lives in RAM or in an out-of-core store.  Planning (:func:`plan_streamed`)
 scans a :mod:`repro.store` handle in fixed-size row chunks, so peak RSS
 is O(chunk) — a ``ram`` handle makes the scan zero-copy for an in-RAM
-set.  Each tile is solved by :func:`run_tile` over its own row window
+set.  Tile halos come from one grid-binned pass (:func:`_halo_pairs`):
+each disk's bounding box is binned against the grid's cut lines with
+``searchsorted``, and the exact open-disk test runs only on the
+(row, cell) pairs the binning yields, so a plan costs O(rows + halo
+pairs) rather than O(rows x tiles).  Each tile is solved by
+:func:`run_tile` over its own row window
 (:func:`repro.store.attach_slice`): in-process, in tile order, by
 :func:`run_tiles` (``solve_streamed`` and ``ShardedMaxFirst``'s
 ``mode="tiles"``), or in a pool worker by
@@ -16,16 +21,23 @@ Exactness
 The planned data space is the chunk-wise union of slice bounding boxes
 plus ``nlc_space``'s margin — float min/max commutes with chunking, so
 the space (and the resolution derived from it) is bit-identical to
-``nlc_space`` over the whole set, whatever the chunk size.  Each tile's
-row window covers *every* disk intersecting the tile, so slice-local
-classification sums the same scores in the same ascending row order as
-a full-set run; seed covers translated by :func:`_slice_seeds` prune
-exactly as they would over the full set; and the per-tile seed bound is
-the tile root's ``m̂in`` over its own window, equal to a full-set
-classification of that root.  Scores, regions and merged Phase I stats
-are therefore identical to an unsharded solve's scores and regions, and
-identical across the in-process and one-worker-pool schedules down to
-the merged work counters (asserted by ``tests/engine``).
+``nlc_space`` over the whole set, whatever the chunk size.  The binning
+widens every bounding box by a relative slack larger than any rounding
+in its arithmetic, so it can only add pairs, and the pairs it keeps
+pass :meth:`~repro.index.circleset.CircleSet.rects_intersecting`'s
+arithmetic verbatim: each tile's halo, hence its row window and
+candidate count, equals the full-set predicate's.  Each window covers
+*every* disk intersecting its tile, so slice-local classification sums
+the same scores in the same ascending row order as a full-set run; seed
+covers translated by :func:`_slice_seeds` prune exactly as they would
+over the full set; and the per-tile seed bound is the tile root's
+``m̂in`` over its own window, equal to a full-set classification of
+that root — a tile no disk contains has an empty containing set and a
+root ``m̂in`` of exactly 0.0, so only contained tiles are classified.
+Scores, regions and merged Phase I stats are therefore identical to an
+unsharded solve's scores and regions, and identical across the
+in-process and one-worker-pool schedules down to the merged work
+counters (asserted by ``tests/engine``).
 """
 
 from __future__ import annotations
@@ -50,7 +62,8 @@ from repro.obs import metrics as _obs_metrics
 from repro.obs.trace import span
 from repro.store.base import StoreHandle
 
-__all__ = ["StreamPlan", "plan_streamed", "solve_streamed", "tile_grid"]
+__all__ = ["StreamPlan", "grid_halos", "plan_streamed", "solve_streamed",
+           "tile_grid"]
 
 #: Deterministic work counters of the sharding layer itself: tiles run
 #: and halo rows assigned, recorded in the parent process so every
@@ -62,6 +75,20 @@ _HALO_ASSIGNMENTS = _obs_metrics.counter("halo_assignments")
 #: of SoA per window, and each window's views die before the next
 #: attaches, so scan RSS stays O(chunk) whatever the store length.
 _DEFAULT_CHUNK_ROWS = 262_144
+
+#: Relative widening of a disk's bounding box before it is binned
+#: against the cut lines.  An open-disk hit ``dx*dx + dy*dy < r*r``
+#: implies the rounded gap ``dx`` is below ``r`` (rounding is
+#: monotone), so a hit cell lies within ``r`` plus a few ulps of
+#: ``|c| + r`` of the centre; 2**-40 is ~4000 ulps, so the slack can
+#: only add pairs, never drop one.
+_HALO_SLACK = 2.0 ** -40
+
+#: Cap on the rows binned and on the (row, cell) pairs tested at once:
+#: the two dozen int64/float64 temporaries per row or pair then fit in
+#: a few MB of cache (measured fastest at 8-16 Ki on a 4 MB-L2 Xeon),
+#: whatever the chunk size or the number of cells a disk spans.
+_PAIR_BLOCK = 16_384
 
 
 def _dyadic_cut_fraction(i: int, n: int) -> float:
@@ -105,18 +132,14 @@ def _dyadic_cut_fraction(i: int, n: int) -> float:
     return min(m - 1, max(1, j)) / m
 
 
-def tile_grid(space: Rect, shards: int) -> tuple[Rect, ...]:
-    """Split ``space`` into at least ``shards`` tiles on a near-square grid.
+def _grid_cuts(space: Rect, shards: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``nx + 1`` x cut lines and ``ny + 1`` y cut lines of the grid.
 
-    The grid is ``nx`` x ``ny`` with ``ny = floor(sqrt(shards))`` and
-    ``nx = ceil(shards / ny)``, and *every* cell is emitted: 2 gives a
-    2x1 split, 4 a 2x2, 9 a 3x3, while counts that do not factor into
-    their grid round up (5 becomes a 3x2 grid of 6 tiles).  Dropping the
-    surplus cells instead would leave part of the space uncovered, and
-    regions living only there would be silently missed.  The tiles
-    partition the space exactly (shared boundaries, no gaps); interior
-    cut lines sit at off-centre dyadic fractions — see
-    :func:`_dyadic_cut_fraction` for why both properties matter.
+    Both arrays run from the space's low edge to its high edge and are
+    non-decreasing (the cut fractions are, and rounding is monotone),
+    which is what lets :func:`_halo_pairs` bin against them with
+    ``searchsorted``.  Near-coincident coordinates can make neighbouring
+    cuts equal; the zero-width cells between them are still cells.
     """
     if shards < 1:
         raise ValueError("shards must be positive")
@@ -130,11 +153,126 @@ def tile_grid(space: Rect, shards: int) -> tuple[Rect, ...]:
           + [space.ymin + space.height * _dyadic_cut_fraction(i, ny)
              for i in range(1, ny)]
           + [space.ymax])
-    tiles = []
-    for iy in range(ny):
-        for ix in range(nx):
-            tiles.append(Rect(xs[ix], ys[iy], xs[ix + 1], ys[iy + 1]))
-    return tuple(tiles)
+    return np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)
+
+
+def tile_grid(space: Rect, shards: int) -> tuple[Rect, ...]:
+    """Split ``space`` into at least ``shards`` tiles on a near-square grid.
+
+    The grid is ``nx`` x ``ny`` with ``ny = floor(sqrt(shards))`` and
+    ``nx = ceil(shards / ny)``, and *every* cell is emitted: 2 gives a
+    2x1 split, 4 a 2x2, 9 a 3x3, while counts that do not factor into
+    their grid round up (5 becomes a 3x2 grid of 6 tiles).  Dropping the
+    surplus cells instead would leave part of the space uncovered, and
+    regions living only there would be silently missed.  The tiles
+    partition the space exactly (shared boundaries, no gaps); interior
+    cut lines sit at off-centre dyadic fractions — see
+    :func:`_dyadic_cut_fraction` for why both properties matter.  Cell
+    ``iy * nx + ix`` spans cut lines ``ix, ix + 1`` and ``iy, iy + 1``
+    of :func:`_grid_cuts`.
+    """
+    xs, ys = (cuts.tolist() for cuts in _grid_cuts(space, shards))
+    return tuple(Rect(xs[ix], ys[iy], xs[ix + 1], ys[iy + 1])
+                 for iy in range(len(ys) - 1)
+                 for ix in range(len(xs) - 1))
+
+
+def _bin_span(c: np.ndarray, r: np.ndarray,
+              cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per disk, the half-open range of grid columns (or rows) that its
+    extent along one axis, widened by :data:`_HALO_SLACK`, meets: from
+    the first cell whose high cut reaches ``c - reach`` to the last
+    whose low cut does not pass ``c + reach``."""
+    reach = (np.abs(c) + r) * _HALO_SLACK + r
+    return (np.searchsorted(cuts[1:], c - reach, side="left"),
+            np.searchsorted(cuts[:-1], c + reach, side="right"))
+
+
+def _halo_pairs(circles: CircleSet, xs: np.ndarray, ys: np.ndarray,
+                graze_tol: float
+                ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every (disk, grid cell) pair whose open disk meets the cell.
+
+    Yields ``(rows, cells, contained)`` blocks of at most
+    :data:`_PAIR_BLOCK` pairs (or one row's), rows ascending (cells
+    ascending within a row) across the whole scan, which bins
+    :data:`_PAIR_BLOCK` rows at a time.  Each disk's bounding box,
+    widened by :data:`_HALO_SLACK`, is binned against the cut lines with
+    ``searchsorted``; the candidate pairs then pass the arithmetic of
+    :meth:`CircleSet.rects_intersecting` verbatim, so each cell's rows
+    are exactly that predicate's.  ``contained`` flags the hit pairs
+    whose disk contains the cell at ``graze_tol`` — the containment
+    test of :class:`~repro.index.circleset.RectClassifier`, with
+    ``r_out = r + graze_tol`` — so a cell with no flagged pair has an
+    empty ``Q.C`` and a root ``m̂in`` of exactly 0.0.
+    """
+    nx = xs.shape[0] - 1
+    for first in range(0, len(circles), _PAIR_BLOCK):
+        block = slice(first, first + _PAIR_BLOCK)
+        cx, cy, r = circles.cx[block], circles.cy[block], circles.r[block]
+        col_lo, col_hi = _bin_span(cx, r, xs)
+        row_lo, row_hi = _bin_span(cy, r, ys)
+        width = np.maximum(col_hi - col_lo, 0)
+        per_row = width * np.maximum(row_hi - row_lo, 0)
+        ends = np.cumsum(per_row)
+        start = 0
+        while start < ends.shape[0]:
+            # Rows [start, stop) hold at most _PAIR_BLOCK pairs, or are
+            # one row.
+            base = int(ends[start] - per_row[start])
+            stop = max(start + 1, int(np.searchsorted(
+                ends, base + _PAIR_BLOCK, side="right")))
+            counts = per_row[start:stop]
+            rows = np.repeat(np.arange(start, stop, dtype=np.int64), counts)
+            k = np.arange(int(ends[stop - 1]) - base, dtype=np.int64)
+            k -= np.repeat(ends[start:stop] - counts - base, counts)
+            w = width[rows]
+            ix = col_lo[rows] + k % w
+            iy = row_lo[rows] + k // w
+            start = stop
+            pcx, pcy, pr = cx[rows], cy[rows], r[rows]
+            ax = xs[ix] - pcx
+            bx = pcx - xs[ix + 1]
+            ay = ys[iy] - pcy
+            by = pcy - ys[iy + 1]
+            # rects_intersecting's open-disk test, element for element:
+            # the near gap per axis is max(lo - c, 0, c - hi).
+            dx = np.maximum(ax, 0.0)
+            np.maximum(dx, bx, out=dx)
+            dy = np.maximum(ay, 0.0)
+            np.maximum(dy, by, out=dy)
+            hit = dx * dx + dy * dy < pr * pr
+            # RectClassifier's containment test: the far gap per axis is
+            # min(lo - c, c - hi), whose sign drops when squaring.
+            fx = np.minimum(ax, bx, out=ax)
+            fy = np.minimum(ay, by, out=ay)
+            r_out = pr + graze_tol
+            contained = fx * fx + fy * fy <= r_out * r_out
+            rows += first
+            yield rows[hit], (iy * nx + ix)[hit], contained[hit]
+
+
+def grid_halos(circles: CircleSet, space: Rect,
+               shards: int) -> list[np.ndarray]:
+    """Per-tile halo rows of ``tile_grid(space, shards)``, in grid order.
+
+    Element-wise equal to ``circles.rects_intersecting(tile_grid(space,
+    shards))`` — sorted ``int64`` rows of the disks whose interior
+    meets each tile — at O(rows + halo pairs) instead of O(rows x
+    tiles).
+    """
+    xs, ys = _grid_cuts(space, shards)
+    n_cells = (xs.shape[0] - 1) * (ys.shape[0] - 1)
+    blocks = [(rows, cells)
+              for rows, cells, _ in _halo_pairs(circles, xs, ys, 0.0)]
+    if not blocks:
+        return [np.zeros(0, dtype=np.int64) for _ in range(n_cells)]
+    rows = np.concatenate([rows for rows, _ in blocks])
+    cells = np.concatenate([cells for _, cells in blocks])
+    # A stable sort by cell keeps each cell's rows ascending.
+    order = np.argsort(cells, kind="stable")
+    bounds = np.cumsum(np.bincount(cells, minlength=n_cells))[:-1]
+    return np.split(rows[order], bounds)
 
 
 @dataclass(frozen=True)
@@ -144,9 +282,12 @@ class StreamPlan:
     ``tiles``, ``windows`` and ``candidate_counts`` are parallel:
     tile ``i`` is solved over the store rows ``windows[i] = (lo, hi)``,
     of which ``candidate_counts[i]`` actually intersect the tile.
-    Tiles no disk reaches are dropped at planning time.
+    Tiles no disk reaches are dropped at planning time.  ``rows`` is
+    the length of the store the plan was made over; a plan only fits a
+    store of that length.
     """
 
+    rows: int
     space: Rect
     resolution: float
     tiles: tuple[Rect, ...]
@@ -193,10 +334,13 @@ def plan_streamed(handle: StoreHandle, shards: int, *,
     """Chunk-scan a published store into a :class:`StreamPlan`.
 
     Two O(chunk)-memory passes over the store: the first unions slice
-    bounding boxes into the data space, the second assigns each tile
-    its candidate row window; a final per-tile root classification over
-    each window yields the Theorem 2 seed bound.  Every quantity is
-    independent of ``chunk_rows`` (see the module docstring).
+    bounding boxes into the data space; the second runs the grid-binned
+    halo pass (:func:`_halo_pairs`) over each chunk, which assigns each
+    tile its candidate row window at O(rows + halo pairs) and flags the
+    tiles some disk contains.  Only those tiles can have a nonzero root
+    ``m̂in``, so only they are classified, over their windows, for the
+    Theorem 2 seed bound.  Every quantity is independent of
+    ``chunk_rows`` (see the module docstring).
     """
     if shards < 1:
         raise ValueError("shards must be positive")
@@ -227,33 +371,33 @@ def plan_streamed(handle: StoreHandle, shards: int, *,
     # classify at it, or its Q.I/Q.C sets (hence score sums) diverge
     # from the single-process run.
     resolution = max(space.width, space.height) * resolution_fraction
+    xs, ys = _grid_cuts(space, shards)
     tiles = tile_grid(space, shards)
     n_tiles = len(tiles)
 
     with span("stream/scan_windows", rows=length, tiles=n_tiles):
-        lo_row = [length] * n_tiles
-        hi_row = [0] * n_tiles
-        counts = [0] * n_tiles
+        lo_row = np.full(n_tiles, length, dtype=np.int64)
+        last_row = np.full(n_tiles, -1, dtype=np.int64)
+        counts = np.zeros(n_tiles, dtype=np.int64)
+        contained = np.zeros(n_tiles, dtype=bool)
         for lo, hi in _chunk_bounds(length, chunk_rows):
             # repro: store-lifecycle(uncached slice window; the views
             # die when `chunk` is rebound on the next iteration)
             chunk = nlc_store.attach_slice(handle, lo, hi)
-            for t, cand in enumerate(chunk.rects_intersecting(tiles)):
-                if cand.shape[0] == 0:
-                    continue
-                lo_row[t] = min(lo_row[t], lo + int(cand[0]))
-                hi_row[t] = max(hi_row[t], lo + int(cand[-1]) + 1)
-                counts[t] += int(cand.shape[0])
+            for rows, cells, inside in _halo_pairs(chunk, xs, ys,
+                                                   resolution):
+                rows += lo
+                np.minimum.at(lo_row, cells, rows)
+                np.maximum.at(last_row, cells, rows)
+                counts += np.bincount(cells, minlength=n_tiles)
+                contained[cells[inside]] = True
+        # Unmap the last chunk inside the span that mapped it.
+        del chunk
 
-    kept_tiles = []
-    kept_windows = []
-    kept_counts = []
-    for t, tile in enumerate(tiles):
-        if counts[t] == 0:
-            continue  # nothing can score inside this tile
-        kept_tiles.append(tile)
-        kept_windows.append((lo_row[t], hi_row[t]))
-        kept_counts.append(counts[t])
+    kept = np.flatnonzero(counts).tolist()  # nothing scores elsewhere
+    kept_tiles = [tiles[t] for t in kept]
+    kept_windows = [(int(lo_row[t]), int(last_row[t]) + 1) for t in kept]
+    kept_counts = [int(counts[t]) for t in kept]
     _HALO_ASSIGNMENTS.add(sum(kept_counts))
 
     # The root m̂in of a tile classified over its own window equals the
@@ -262,10 +406,14 @@ def plan_streamed(handle: StoreHandle, shards: int, *,
     # ascending row order either way.  Classification runs over just the
     # tile's candidate rows — the candidate gather extracts the identical
     # ascending subset, while the O(window) classify temps (several
-    # float64 arrays per row) shrink to O(candidates).
+    # float64 arrays per row) shrink to O(candidates).  A tile no disk
+    # contains has an empty containing set, so its root m̂in is the empty
+    # sum 0.0 and it cannot raise the bound: it is not classified.
     seed_bound = 0.0
-    with span("stream/seed_bound", tiles=len(kept_tiles)):
-        for tile, (lo, hi) in zip(kept_tiles, kept_windows):
+    roots = [(tiles[t], window) for t, window in zip(kept, kept_windows)
+             if contained[t]]
+    with span("stream/seed_bound", tiles=len(roots)):
+        for tile, (lo, hi) in roots:
             # repro: store-lifecycle(uncached slice window, dropped at
             # each rebind — planning never holds two windows at once)
             window = nlc_store.attach_slice(handle, lo, hi)
@@ -274,7 +422,7 @@ def plan_streamed(handle: StoreHandle, shards: int, *,
                                          graze_tol=resolution)[0]
             seed_bound = max(seed_bound, float(root[3]))
 
-    return StreamPlan(space=space, resolution=resolution,
+    return StreamPlan(rows=length, space=space, resolution=resolution,
                       tiles=tuple(kept_tiles),
                       windows=tuple(kept_windows),
                       candidate_counts=tuple(kept_counts),
@@ -479,6 +627,12 @@ def solve_streamed(handle: StoreHandle, *, shards: int = 2,
         plan = plan_streamed(handle, shards,
                              resolution_fraction=solver.resolution_fraction,
                              chunk_rows=chunk_rows)
+    elif plan.rows != int(handle[2]):
+        # Windows planned over a shorter store pass check_slice and
+        # would silently solve only a prefix of this one.
+        raise ValueError(
+            f"plan was made over {plan.rows} rows, the store has "
+            f"{int(handle[2])}")
     t1 = time.perf_counter()
     _SHARD_TASKS.add(plan.n_shards)
     outputs = run_tiles(handle, plan, maxfirst_options, sync_interval)

@@ -1,8 +1,10 @@
 """Tile-sharded parallel Phase I.
 
 Partitions the data rectangle into a grid of tiles, assigns each tile the
-NLCs whose disks intersect it (halo inclusion via the batched
-:meth:`~repro.index.circleset.CircleSet.rects_intersecting` predicate),
+NLCs whose disks intersect it (halo inclusion via the tile engine's
+grid-binned pass, :func:`~repro.engine.outofcore.grid_halos`, which
+applies :meth:`~repro.index.circleset.CircleSet.rects_intersecting`'s
+open-disk test to just the disk/tile pairs whose bounding boxes meet),
 runs MaxFirst's Phase I per tile, and merges the accepted quadrants
 before a single Phase II pass grows each distinct region once.  The
 planner, the per-tile executor and the merge are the tile engine of
@@ -71,8 +73,8 @@ from repro.core.nlc import build_nlcs
 from repro.core.problem import MaxBRkNNProblem
 from repro.core.quadrant import MaxFirstStats
 from repro.core.result import MaxBRkNNResult
-from repro.engine.outofcore import (StreamPlan, TileOutput, merge,
-                                    plan_streamed, run_tiles)
+from repro.engine.outofcore import (StreamPlan, TileOutput, grid_halos,
+                                    merge, plan_streamed, run_tiles)
 from repro.index.circleset import CircleSet
 from repro.obs import metrics as _obs_metrics
 from repro.obs.trace import TRACER, span
@@ -297,8 +299,13 @@ class ShardedMaxFirst:
             with span("shard/unified", tiles=plan.n_shards,
                       nlcs=len(nlcs)):
                 solver = MaxFirst(**self.maxfirst_options)
+                # The plan kept exactly the grid cells with a nonempty
+                # halo, in grid order.
+                halos = grid_halos(nlcs, plan.space,
+                                   self.shards * self.oversubscribe)
                 roots = list(zip(plan.tiles,
-                                 nlcs.rects_intersecting(plan.tiles)))
+                                 [cand for cand in halos if cand.shape[0]],
+                                 strict=True))
                 accepted, max_min, stats = solver.run_phase1(
                     nlcs, plan.space, resolution=plan.resolution,
                     initial_bound=plan.seed_bound, roots=roots)
