@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import os
 import time
 
@@ -53,7 +54,8 @@ from repro.core.nlc import build_nlcs, nlc_space
 from repro.core.problem import MaxBRkNNProblem
 from repro.core.quadrant import MaxFirstStats, Quadrant, _MutableStats
 from repro.core.refine import refine_quadrant
-from repro.core.region import compute_optimal_region
+from repro.core.region import (OptimalRegion, compute_optimal_region,
+                               found_regions, keep_top_t, select_found)
 from repro.core.result import MaxBRkNNResult
 from repro.geometry.circle import circle_circle_intersection
 from repro.geometry.intersection import disks_common_point
@@ -109,35 +111,18 @@ class _FoundCovers:
     def __len__(self) -> int:
         return len(self._keys)
 
-    def add(self, quad: Quadrant) -> bool:
-        """Record the quadrant's cover; False when already present."""
-        key = quad.cover_key()
-        if key in self._keys:
-            return False
-        self._keys.add(key)
-        if self._use_arrays:
-            mask = np.zeros(self._n, dtype=bool)
-            mask[quad.containing] = True
-            self._masks.append(mask)
-            self._sizes.append(len(key))
-            self._sums.append(quad.min_hat)
-        else:
-            self._frozen.append(frozenset(key))
-        return True
+    def add(self, cover: tuple[int, ...], score_sum: float,
+            members: tuple[int, ...] | None = None) -> bool:
+        """Record a found region's cover; False when already present.
 
-    def seed(self, cover: tuple[int, ...], score_sum: float,
-             members: tuple[int, ...] | None = None) -> bool:
-        """Pre-register a cover found *outside* this search (another tile).
-
-        Semantically identical to :meth:`add`: the caller asserts that
-        ``cover`` (sorted NLC indices in *this search's* index space) is
-        the cover of a region some shard already accepted, with
-        ``score_sum`` its ``m̂in`` sum over the same score values.
-        Theorem 3 then prunes this search's quadrants whose ``Q.I`` the
-        cover absorbs — the cross-tile analogue of the in-search test,
-        and sound for the same reason: a tied region inside such a
-        quadrant must equal the seeded region, which the merge step
-        already reports.
+        ``cover`` is sorted NLC indices in *this search's* index space
+        and ``score_sum`` its ``m̂in`` sum.  Besides the search's own
+        acceptances, callers seed covers found *outside* it (another
+        tile, an earlier request): Theorem 3 then prunes this search's
+        quadrants whose ``Q.I`` the cover absorbs — the cross-tile
+        analogue of the in-search test, and sound for the same reason:
+        a tied region inside such a quadrant must equal the seeded
+        region, which the merge step already reports.
 
         A search running over a row *slice* of the store passes
         ``members``: the subset of ``cover`` that falls inside its
@@ -383,34 +368,24 @@ class MaxFirst:
     # ------------------------------------------------------------------ #
 
     def build_regions(self, accepted: list[Quadrant], max_min: float,
-                      nlcs: CircleSet) -> list:
+                      nlcs: CircleSet) -> list[OptimalRegion]:
         """Phase II: grow the optimal regions of the accepted quadrants.
 
-        Deduplicates by cover identity (many accepted quadrants tile one
-        region) and drops superseded scores.  Exposed separately so the
-        engine layer can merge accepted quadrants from several Phase I
-        shards before growing regions exactly once per distinct cover.
+        :func:`~repro.core.region.select_found` picks what to grow: one
+        region per distinct cover (many accepted quadrants tile one
+        region), superseded scores dropped in top-1 mode.
         """
         tol = self.tie_tol * max(1.0, abs(max_min))
-        seen_covers: set[tuple[int, ...]] = set()
+        floor = max_min - tol if self.top_t == 1 else -math.inf
         with span("phase2/build_regions", accepted=len(accepted)):
-            pending = []
-            for quad in accepted:
-                if quad.min_hat < max_min - tol and self.top_t == 1:
-                    continue  # superseded (defensive; see module docstring)
-                key = quad.cover_key()
-                if key in seen_covers:
-                    continue
-                seen_covers.add(key)
-                pending.append(quad)
             regions = [
-                compute_optimal_region(quad.rect, quad.containing,
-                                       nlcs, score=quad.min_hat)
-                for quad in pending
+                compute_optimal_region(rect, cover, nlcs, score=score)
+                for cover, score, rect in select_found(
+                    found_regions(accepted), floor)
             ]
             regions.sort(key=lambda r: -r.score)
             if self.top_t > 1:
-                regions = _keep_top_t(regions, self.top_t, tol)
+                regions = keep_top_t(regions, self.top_t, tol)
         return regions
 
     # ------------------------------------------------------------------ #
@@ -455,7 +430,7 @@ class MaxFirst:
             ``(cover, score_sum)`` pairs of regions other shards already
             accepted (sorted NLC indices plus their ``m̂in`` sum); a
             slice-attached caller appends a third ``members`` element
-            per entry (see :meth:`_FoundCovers.seed`).
+            per entry (see :meth:`_FoundCovers.add`).
             They enter the Theorem 3 registry before the first pop, so
             this search never re-tessellates a region an earlier tile
             discovered — the main cost of naive tile sharding.  Only
@@ -546,9 +521,9 @@ class MaxFirst:
         if seed_covers is not None:
             # 2-tuples ``(cover, score_sum)`` from whole-set callers;
             # slice-attached workers add a third ``members`` element
-            # (see :meth:`_FoundCovers.seed`).
+            # (see :meth:`_FoundCovers.add`).
             for entry in seed_covers:
-                found_covers.seed(*entry)
+                found_covers.add(*entry)
 
         # The best lower-bound witness seen so far: a quadrant whose m̂in
         # raised MaxMin.  An anytime stop accepts it when nothing on the
@@ -648,9 +623,13 @@ class MaxFirst:
                     sink.append((quad.rect, quad.min_hat, quad.max_hat))
                 continue
 
-            if quad.max_hat <= max_min + tol:
+            if quad.max_hat <= max_min + tol or self.top_t > 1:
                 # m̂ax == MaxMin: Theorem-3 prune, result, or keep
-                # splitting.  The Theorem 3 test runs before the
+                # splitting.  In top-t mode the Theorem 2 threshold
+                # stays low until t distinct regions exist, so — unlike
+                # the t=1 pseudocode — these tests fire on every pop, or
+                # the area around each found region is tessellated to
+                # machine precision.  The Theorem 3 test runs before the
                 # consistency test (the pseudocode orders them the other
                 # way): a consistent quadrant of an already-found region
                 # has Q.I equal to that region's cover, so testing
@@ -673,26 +652,6 @@ class MaxFirst:
                                      quad.max_hat))
                     if self.top_t > 1:
                         max_min = self._top_t_threshold(frontier)
-                    continue
-            elif self.top_t > 1:
-                # In top-t mode the Theorem 2 threshold stays low until t
-                # distinct regions exist, so — unlike the t=1 pseudocode —
-                # found-region pruning and acceptance must fire on every
-                # pop or the area around each found region is tessellated
-                # to machine precision.
-                if self._theorem3_prunes(quad, found_covers):
-                    stats.pruned_theorem3 += 1
-                    if sink is not None:
-                        sink.append((quad.rect, quad.min_hat,
-                                     quad.max_hat))
-                    continue
-                if quad.min_hat >= quad.max_hat - tol:
-                    self._accept(quad, accepted, found_covers, frontier,
-                                 stats)
-                    if sink is not None:
-                        sink.append((quad.rect, quad.min_hat,
-                                     quad.max_hat))
-                    max_min = self._top_t_threshold(frontier)
                     continue
 
             # --- split ------------------------------------------------ #
@@ -799,7 +758,7 @@ class MaxFirst:
                 stats: _MutableStats) -> None:
         stats.results += 1
         accepted.append(quad)
-        new_cover = found_covers.add(quad)
+        new_cover = found_covers.add(quad.cover_key(), quad.min_hat)
         if self.top_t > 1 and new_cover:
             # Only distinct regions advance the top-t frontier: two
             # quadrants of one region must not consume two frontier slots.
@@ -975,15 +934,3 @@ def _echo_free_children(rect: Rect, children: tuple[Rect, ...]) -> list[Rect]:
         else:
             child_rects.append(child_rect)
     return child_rects
-
-
-def _keep_top_t(regions: list, top_t: int, tol: float) -> list:
-    """Regions whose score ties one of the ``top_t`` best distinct scores."""
-    distinct: list[float] = []
-    for region in regions:  # already sorted descending
-        if not distinct or distinct[-1] - region.score > tol:
-            distinct.append(region.score)
-        if len(distinct) > top_t:
-            break
-    cutoff = distinct[min(top_t, len(distinct)) - 1] - tol
-    return [r for r in regions if r.score >= cutoff]

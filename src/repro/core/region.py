@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.core.quadrant import Quadrant
 from repro.geometry.arcs import ArcRegion
 from repro.geometry.intersection import (IncrementalDiskIntersection,
                                          intersect_disks)
@@ -22,6 +24,12 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.index.circleset import CircleSet
 from repro.obs import metrics as _obs_metrics
+
+#: ``(cover, score, rect)``: one region Phase I found — its cover
+#: ``Q.C`` as sorted row indices into the whole NLC set, the cover's
+#: score sum ``m̂in``, and the quadrant that accepted it.  Solver runs,
+#: tile outputs and serve certificates share this one shape.
+FoundRegion = tuple[tuple[int, ...], float, Rect]
 
 #: Deterministic work counter: optimal regions grown (one per distinct
 #: cover after Phase II deduplication).
@@ -81,7 +89,49 @@ class OptimalRegion:
         return self.shape.contains_point(x, y, tol=tol)
 
 
-def compute_optimal_region(quadrant_rect: Rect, cover: np.ndarray,
+def found_regions(accepted: Iterable[Quadrant],
+                  offset: int = 0) -> list[FoundRegion]:
+    """The found regions of accepted quadrants, in acceptance order.
+
+    ``offset`` shifts the covers of a search run over a row window
+    ``[offset, hi)`` of the store into whole-set rows.
+    """
+    return [(tuple((quad.containing + offset).tolist()), quad.min_hat,
+             quad.rect) for quad in accepted]
+
+
+def select_found(found: Iterable[FoundRegion],
+                 floor: float) -> list[FoundRegion]:
+    """Phase II's selection, shared by every caller that grows regions:
+    keeps discovery order, drops scores below ``floor`` (a top-1 tie
+    floor; ``-inf`` keeps every tier), and keeps each distinct cover's
+    first entry — the quadrant every execution mode grows it from."""
+    seen: set[tuple[int, ...]] = set()
+    kept: list[FoundRegion] = []
+    for cover, score, rect in found:
+        if score < floor or cover in seen:
+            continue
+        seen.add(cover)
+        kept.append((cover, score, rect))
+    return kept
+
+
+def keep_top_t(regions: list[OptimalRegion], top_t: int,
+               tol: float) -> list[OptimalRegion]:
+    """Regions whose score ties one of the ``top_t`` best distinct
+    scores — a top-t solve's tier cut, applied after growing."""
+    distinct: list[float] = []
+    for region in regions:  # already sorted descending
+        if not distinct or distinct[-1] - region.score > tol:
+            distinct.append(region.score)
+        if len(distinct) > top_t:
+            break
+    cutoff = distinct[min(top_t, len(distinct)) - 1] - tol
+    return [r for r in regions if r.score >= cutoff]
+
+
+def compute_optimal_region(quadrant_rect: Rect,
+                           cover: np.ndarray | Sequence[int],
                            nlcs: CircleSet, score: float,
                            tol: float = 1e-9) -> OptimalRegion:
     """Algorithm 2: grow the optimal region from a quadrant.

@@ -13,8 +13,10 @@ pairs) rather than O(rows x tiles).  Each tile is solved by
 (:func:`repro.store.attach_slice`): in-process, in tile order, by
 :func:`run_tiles` (``solve_streamed`` and ``ShardedMaxFirst``'s
 ``mode="tiles"``), or in a pool worker by
-:func:`repro.engine.pool.solve_tile`.  :func:`merge` then grows each
-distinct winning cover once, over the window it was found in.
+:func:`repro.engine.pool.solve_tile`.  Each tile reports its found
+regions (:data:`~repro.core.region.FoundRegion`) in store rows, and
+those lists double as the seed covers of later tiles.  :func:`merge`
+then grows each distinct winning cover once, over the whole set.
 
 Exactness
 ---------
@@ -42,7 +44,6 @@ counters (asserted by ``tests/engine``).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
@@ -51,10 +52,11 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from repro import store as nlc_store
-from repro.core.bounds import VectorBackend
 from repro.core.maxfirst import MaxFirst
 from repro.core.quadrant import MaxFirstStats
-from repro.core.region import compute_optimal_region
+from repro.core.region import (FoundRegion, OptimalRegion,
+                               compute_optimal_region, found_regions,
+                               select_found)
 from repro.core.result import MaxBRkNNResult
 from repro.geometry.rect import Rect
 from repro.index.circleset import CircleSet
@@ -307,18 +309,16 @@ class StreamPlan:
 class TileOutput:
     """One tile's (or the unified frontier's) Phase I outcome.
 
-    ``entries`` preserves acceptance order: ``(min_hat, cover, rect)``
-    with ``cover`` as sorted store rows, all inside the store row range
-    ``window = (lo, hi)`` over which :func:`merge` grows the regions.
-    ``obs_counters`` / ``obs_gauges`` are the run's observability
-    registry deltas, captured under :meth:`MetricsRegistry.isolated` so
-    they reach the parent registry only through :func:`merge`.
+    ``found`` lists the run's found regions in acceptance order, covers
+    as sorted store rows.  ``obs_counters`` / ``obs_gauges`` are the
+    run's observability registry deltas, captured under
+    :meth:`MetricsRegistry.isolated` so they reach the parent registry
+    only through :func:`merge`.
     """
 
-    entries: list
+    found: list[FoundRegion]
     max_min: float
     stats: dict
-    window: tuple[int, int]
     obs_counters: dict = field(default_factory=dict)
     obs_gauges: dict = field(default_factory=dict)
 
@@ -429,26 +429,7 @@ def plan_streamed(handle: StoreHandle, shards: int, *,
                       seed_bound=seed_bound)
 
 
-class _TileBackend(VectorBackend):
-    """Vector backend whose root candidate set is a tile's halo NLCs.
-
-    Children re-test only their parent's survivors as usual, so after the
-    root classification the search is indistinguishable from a global run
-    that reached the same rectangle.
-    """
-
-    name = "vector-tile"
-
-    def __init__(self, nlcs: CircleSet, graze_tol: float,
-                 root: np.ndarray) -> None:
-        super().__init__(nlcs, graze_tol=graze_tol)
-        self._root = root
-
-    def root_candidates(self) -> np.ndarray:
-        return self._root
-
-
-def _slice_seeds(seeds: list, lo: int, hi: int) -> tuple:
+def _slice_seeds(seeds: list[FoundRegion], lo: int, hi: int) -> tuple:
     """Translate store-row seed covers into a tile window's index space.
 
     Every member shifts by ``-lo`` in the dedupe key (out-of-window
@@ -462,34 +443,25 @@ def _slice_seeds(seeds: list, lo: int, hi: int) -> tuple:
     return tuple(
         (tuple(i - lo for i in key), score,
          tuple(i - lo for i in key if lo <= i < hi))
-        for key, score in seeds)
-
-
-def _extend_seed_covers(seeds: list, seen: set, entries: list) -> None:
-    """Fold a tile's accepted entries into the shared seed-cover list."""
-    for min_hat, cover, _rect in entries:
-        key = tuple(int(i) for i in cover)
-        if key not in seen:
-            seen.add(key)
-            seeds.append((key, float(min_hat)))
+        for key, score, _rect in seeds)
 
 
 def run_tile(handle: StoreHandle, index: int, tile: Rect,
              window: tuple[int, int], resolution: float,
              options: dict[str, Any], bound: Callable[[float], float],
-             sync_interval: int, seeds: list, seen: set) -> TileOutput:
+             sync_interval: int, seeds: list[FoundRegion]) -> TileOutput:
     """Phase I over one tile, attached as its row window of the store.
 
     The tile's halo candidates are recomputed over the window — every
     disk meeting the tile lies inside it, so they are the full-set
-    candidates minus ``lo``.  ``bound`` is the Theorem 2 exchange
+    candidates minus ``lo`` — and seed the search's single root
+    (``run_phase1(roots=...)``).  ``bound`` is the Theorem 2 exchange
     (publish a local bound, read back the global best): it seeds
     ``MaxMin`` and is polled every ``sync_interval`` pops.  ``seeds``
-    holds the covers accepted by the tiles run before this one on the
-    same worker; this tile's accepted covers, shifted back to store
-    rows, join it.  Counters are captured under an isolated registry,
-    so they ship in the output and reach the parent only via
-    :func:`merge`.
+    holds the found regions of the tiles run before this one on the
+    same worker; this tile's found regions, in store rows, join it.
+    Counters are captured under an isolated registry, so they ship in
+    the output and reach the parent only via :func:`merge`.
     """
     lo, hi = window
     with _obs_metrics.REGISTRY.isolated() as box:
@@ -499,22 +471,20 @@ def run_tile(handle: StoreHandle, index: int, tile: Rect,
             # that release is the O(window) memory contract)
             nlcs = nlc_store.attach_slice(handle, lo, hi)
             candidates = nlcs.rects_intersecting([tile])[0]
-            backend = _TileBackend(nlcs, resolution, candidates)
             accepted, max_min, stats = MaxFirst(**options).run_phase1(
-                nlcs, tile, backend=backend, resolution=resolution,
+                nlcs, tile, resolution=resolution,
                 initial_bound=bound(0.0), bound_sync=bound,
                 sync_interval=sync_interval,
-                seed_covers=_slice_seeds(seeds, lo, hi))
+                seed_covers=_slice_seeds(seeds, lo, hi),
+                roots=[(tile, candidates)])
             bound(max_min)
-            entries = [(quad.min_hat, quad.containing + lo, quad.rect)
-                       for quad in accepted]
-            _extend_seed_covers(seeds, seen, entries)
-            # The backend's packed matrix and the slice's mapped pages
-            # are O(window); letting two tiles' copies coexist would
-            # double the solve's memory high-water.
-            del nlcs, candidates, backend, accepted
-    return TileOutput(entries=entries, max_min=max_min,
-                      stats=stats.as_dict(), window=window,
+            found = found_regions(accepted, lo)
+            seeds.extend(found)  # a cover listed twice seeds once
+            # The slice's mapped pages are O(window); letting two
+            # tiles' windows coexist would double the solve's memory
+            # high-water.
+            del nlcs, candidates, accepted
+    return TileOutput(found=found, max_min=max_min, stats=stats.as_dict(),
                       obs_counters=dict(box["counters"]),
                       obs_gauges=dict(box["gauges"]))
 
@@ -544,51 +514,34 @@ def run_tiles(handle: StoreHandle, plan: StreamPlan,
     bit-identical work counters.
     """
     bound = _SerialBound(plan.seed_bound)
-    seeds: list[tuple[tuple[int, ...], float]] = []
-    seen: set[tuple[int, ...]] = set()
+    seeds: list[FoundRegion] = []
     return [run_tile(handle, i, tile, window, plan.resolution, options,
-                     bound.sync, sync_interval, seeds, seen)
+                     bound.sync, sync_interval, seeds)
             for i, (tile, window) in enumerate(zip(plan.tiles,
                                                    plan.windows))]
 
 
-def merge(handle: StoreHandle, outputs: list[TileOutput], tie_tol: float
-          ) -> tuple[float, list, MaxFirstStats]:
+def merge(nlcs: CircleSet, outputs: list[TileOutput], tie_tol: float
+          ) -> tuple[float, list[OptimalRegion], MaxFirstStats]:
     """Merge tile outputs: global best, deduped regions, summed stats.
 
-    Mirrors :meth:`MaxFirst.build_regions`: entries are visited in
-    output order then acceptance order, covers deduplicate on first
-    sight, and only entries within the tie tolerance of the global best
-    grow regions — each grown over its output's window (the cover lies
-    wholly inside it) with the cover indices translated back to store
-    rows afterwards, so the emitted regions are bit-identical to a
-    full-set Phase II.  The outputs' counters and gauges enter the
-    parent registry here and nowhere else.
+    Mirrors :meth:`MaxFirst.build_regions` over ``nlcs``, the whole set
+    the tiles' store rows index: the outputs' found regions, in output
+    order then acceptance order, go through
+    :func:`~repro.core.region.select_found` at the global best's tie
+    floor, and each distinct winning cover grows once — so the emitted
+    regions are bit-identical to a full-set Phase II.  The outputs'
+    counters and gauges enter the parent registry here and nowhere
+    else.
     """
     max_min = max((out.max_min for out in outputs), default=0.0)
-    tol = tie_tol * max(1.0, abs(max_min))
-    regions = []
-    seen_covers: set[tuple[int, ...]] = set()
+    floor = max_min - tie_tol * max(1.0, abs(max_min))
     with span("stream/merge", tiles=len(outputs)):
-        for out in outputs:
-            lo, hi = out.window
-            window = None
-            for min_hat, cover, rect in out.entries:
-                if min_hat < max_min - tol:
-                    continue
-                key = tuple(int(i) for i in cover)
-                if key in seen_covers:
-                    continue
-                seen_covers.add(key)
-                if window is None:
-                    # repro: store-lifecycle(uncached slice, one per
-                    # output at most, dropped when `window` goes out of
-                    # scope with the loop iteration)
-                    window = nlc_store.attach_slice(handle, lo, hi)
-                local = np.asarray(cover, dtype=np.int64) - lo
-                region = compute_optimal_region(rect, local, window,
-                                                score=min_hat)
-                regions.append(dataclasses.replace(region, cover=key))
+        regions = [
+            compute_optimal_region(rect, cover, nlcs, score=score)
+            for cover, score, rect in select_found(
+                [entry for out in outputs for entry in out.found], floor)
+        ]
     regions.sort(key=lambda r: -r.score)
     merged: dict[str, int] = {}
     for out in outputs:
@@ -637,9 +590,10 @@ def solve_streamed(handle: StoreHandle, *, shards: int = 2,
     _SHARD_TASKS.add(plan.n_shards)
     outputs = run_tiles(handle, plan, maxfirst_options, sync_interval)
     t2 = time.perf_counter()
-    max_min, regions, merged = merge(handle, outputs, solver.tie_tol)
+    nlcs = nlc_store.attach(handle)
+    max_min, regions, merged = merge(nlcs, outputs, solver.tie_tol)
     t3 = time.perf_counter()
     return MaxBRkNNResult(
-        score=max_min, regions=tuple(regions),
-        nlcs=nlc_store.attach(handle), space=plan.space, stats=merged,
+        score=max_min, regions=tuple(regions), nlcs=nlcs,
+        space=plan.space, stats=merged,
         timings={"plan": t1 - t0, "phase1": t2 - t1, "phase2": t3 - t2})

@@ -24,7 +24,7 @@ straggle the run behind a static assignment.
 
 Worker-local seed covers
 ------------------------
-Each worker accumulates the covers it accepts during one epoch and
+Each worker accumulates its tiles' found regions during one epoch and
 seeds them into its later tiles (Theorem 3 prunes a quadrant whose
 ``Q.I`` is a subset of a known cover).  With one worker this reproduces
 the in-process ``tiles`` schedule exactly — tile ``i`` is seeded with
@@ -61,9 +61,9 @@ WORKER_ENTRY_POINTS: tuple[str, ...] = (
 _SHARED_BOUND: Any = None
 
 #: This worker's seed-cover history for the current epoch:
-#: ``(epoch, store_key, seeds, seen)`` — seeds live in store-row index
-#: space; the per-tile executor translates them into each tile window.
-_EPOCH_STATE: list = [(-1, "", [], set())]
+#: ``(epoch, store_key, seeds)`` — found regions in store rows; the
+#: per-tile executor translates them into each tile window.
+_EPOCH_STATE: list = [(-1, "", [])]
 
 
 def _init_pool_worker(shared: Any) -> None:
@@ -94,8 +94,8 @@ def _shared_sync(local: float) -> float:
         return float(shared.value)
 
 
-def _epoch_seeds(epoch: int, store_key: str) -> tuple[list, set]:
-    """This worker's (seeds, seen) for ``epoch``, rotating stale state.
+def _epoch_seeds(epoch: int, store_key: str) -> list:
+    """This worker's seed list for ``epoch``, rotating stale state.
 
     An epoch turn also drops the previous solve's cached store
     attachments — the parent unlinks its segment/file right after the
@@ -103,16 +103,16 @@ def _epoch_seeds(epoch: int, store_key: str) -> tuple[list, set]:
     """
     from repro import store as nlc_store
 
-    prev_epoch, _prev_key, seeds, seen = _EPOCH_STATE[0]
+    prev_epoch, _prev_key, seeds = _EPOCH_STATE[0]
     if prev_epoch != epoch:
         nlc_store.detach(keep=(store_key,))
-        seeds, seen = [], set()
+        seeds = []
         # repro: worker-state(per-worker seed-cover history is the
         # documented design — see "Worker-local seed covers" above;
         # seeds only ever prune, so results stay exact regardless of
         # which worker accumulated what)
-        _EPOCH_STATE[0] = (epoch, store_key, seeds, seen)
-    return seeds, seen
+        _EPOCH_STATE[0] = (epoch, store_key, seeds)
+    return seeds
 
 
 def solve_tile(job: tuple) -> tuple:
@@ -122,8 +122,8 @@ def solve_tile(job: tuple) -> tuple:
     ``[lo, hi)``; :func:`repro.engine.outofcore.run_tile` attaches just
     that slice, exchanges bounds through the shared cell, and seeds
     Theorem 3 with this worker's epoch history.  Returns
-    ``(tile_index, worker_pid, output, spans)``; the output's entries
-    carry store rows, so the parent's merge is mode-independent.
+    ``(tile_index, worker_pid, output, spans)``; the output's found
+    regions carry store rows, so the parent's merge is mode-independent.
     """
     (epoch, handle, tile_tuple, window, tile_index, resolution,
      options, sync_interval, trace_enabled, fail) = job
@@ -135,13 +135,13 @@ def solve_tile(job: tuple) -> tuple:
     # reset per task so each shipped span set covers exactly this tile.
     TRACER.reset(enabled=bool(trace_enabled))
     with sanitize.task("solve_tile"):
-        seeds, seen = _epoch_seeds(epoch, handle[1])
+        seeds = _epoch_seeds(epoch, handle[1])
         if fail:
             raise RuntimeError(
                 f"injected failure in tile {tile_index} (test hook)")
         output = run_tile(handle, tile_index, Rect(*tile_tuple), window,
                           resolution, options, _shared_sync,
-                          sync_interval, seeds, seen)
+                          sync_interval, seeds)
     spans = ([record.as_dict() for record in TRACER.drain()]
              if trace_enabled else [])
     return (tile_index, os.getpid(), output, spans)
@@ -157,7 +157,7 @@ _SERVE_STATE: list = [("", None, None, None)]
 def serve_query_batch(job: tuple) -> tuple:
     """Worker entry: answer one instance-group of serve requests.
 
-    ``job`` is ``(instance_key, payload, handle, space_tuple,
+    ``job`` is ``(instance_key, payload, handle, space,
     request_docs, certificate, trace_enabled)`` — the tiny problem
     payload plus the NLC store *handle*; NLC bytes never ride in the
     job.  The worker's first batch for an instance rebuilds the problem
@@ -174,10 +174,9 @@ def serve_query_batch(job: tuple) -> tuple:
     ``(response_docs, new_certificate, obs_counters, obs_gauges,
     spans)``.
     """
-    (instance_key, payload, handle, space_tuple, request_docs,
+    (instance_key, payload, handle, space, request_docs,
      certificate, trace_enabled) = job
     from repro import store as nlc_store
-    from repro.geometry.rect import Rect
     from repro.serve.instance import problem_from_payload
     from repro.serve.protocol import decode_request, encode_response
     from repro.serve.service import execute_requests
@@ -206,7 +205,6 @@ def serve_query_batch(job: tuple) -> tuple:
                 # of the shipped payload, so a hit and a rebuild answer
                 # identically — caching only skips the recompute)
                 _SERVE_STATE[0] = (instance_key, problem, ranks, nlcs)
-            space = Rect(*space_tuple)
             requests = [decode_request(doc) for doc in request_docs]
             responses, new_certificate = execute_requests(
                 problem, ranks, nlcs, space, requests, certificate)

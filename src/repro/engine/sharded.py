@@ -5,10 +5,11 @@ NLCs whose disks intersect it (halo inclusion via the tile engine's
 grid-binned pass, :func:`~repro.engine.outofcore.grid_halos`, which
 applies :meth:`~repro.index.circleset.CircleSet.rects_intersecting`'s
 open-disk test to just the disk/tile pairs whose bounding boxes meet),
-runs MaxFirst's Phase I per tile, and merges the accepted quadrants
-before a single Phase II pass grows each distinct region once.  The
-planner, the per-tile executor and the merge are the tile engine of
-:mod:`repro.engine.outofcore`; this module picks how the tiles run.
+runs MaxFirst's Phase I per tile, and merges the tiles' found regions
+before a single Phase II pass over the whole set grows each distinct
+region once.  The planner, the per-tile executor and the merge are the
+tile engine of :mod:`repro.engine.outofcore`; this module picks how the
+tiles run.
 
 Why this is exact
 -----------------
@@ -72,6 +73,7 @@ from repro.core.maxfirst import MaxFirst
 from repro.core.nlc import build_nlcs
 from repro.core.problem import MaxBRkNNProblem
 from repro.core.quadrant import MaxFirstStats
+from repro.core.region import OptimalRegion, found_regions
 from repro.core.result import MaxBRkNNResult
 from repro.engine.outofcore import (StreamPlan, TileOutput, grid_halos,
                                     merge, plan_streamed, run_tiles)
@@ -261,9 +263,9 @@ class ShardedMaxFirst:
         return [self._execute_serial(nlcs, plan)]
 
     def merge(self, nlcs: CircleSet, outputs: list[TileOutput]
-              ) -> tuple[float, list, MaxFirstStats]:
+              ) -> tuple[float, list[OptimalRegion], MaxFirstStats]:
         """Merge tile outputs: global best, deduped regions, summed stats."""
-        return merge(self._tile_store(nlcs)[0], outputs, self._solver.tie_tol)
+        return merge(nlcs, outputs, self._solver.tie_tol)
 
     # ------------------------------------------------------------------ #
 
@@ -309,10 +311,8 @@ class ShardedMaxFirst:
                 accepted, max_min, stats = solver.run_phase1(
                     nlcs, plan.space, resolution=plan.resolution,
                     initial_bound=plan.seed_bound, roots=roots)
-                entries = [(quad.min_hat, quad.containing, quad.rect)
-                           for quad in accepted]
-        return TileOutput(entries=entries, max_min=max_min,
-                          stats=stats.as_dict(), window=(0, len(nlcs)),
+        return TileOutput(found=found_regions(accepted), max_min=max_min,
+                          stats=stats.as_dict(),
                           obs_counters=dict(box["counters"]),
                           obs_gauges=dict(box["gauges"]))
 

@@ -26,7 +26,9 @@ ephemeral port).  The surface is four JSON endpoints:
 Errors follow the protocol's split: per-request problems come back as
 ``error``-kind response docs (HTTP 200 — the batch succeeded), while a
 malformed envelope (bad JSON, a negative or non-integer
-``Content-Length``, unknown path) is an HTTP 4xx with ``{"error": ...}``.
+``Content-Length``, unknown path) is an HTTP 4xx with ``{"error": ...}``
+— a declared body above :data:`_MAX_BODY_BYTES` is a 413, refused
+before anything is read.
 Anything else a route raises — a batch that outlives
 ``request_timeout``, a bug — is an HTTP 500 with the same envelope, so
 every request gets exactly one well-formed reply and the keep-alive
@@ -53,6 +55,10 @@ from repro.serve.service import QueryService
 __all__ = ["ServeDaemon", "problem_from_doc"]
 
 _LOG = logging.getLogger(__name__)
+
+#: Largest request body read (256 MiB, far above any publish body the
+#: repo sends); a longer declared ``Content-Length`` gets a 413.
+_MAX_BODY_BYTES = 256 * 1024 * 1024
 
 _NAMED_MODELS = {
     "uniform": ProbabilityModel.uniform,
@@ -92,6 +98,10 @@ def problem_from_doc(doc: dict[str, Any]) -> MaxBRkNNProblem:
         weights = np.asarray(weights, dtype=np.float64)
     return MaxBRkNNProblem(customers=customers, sites=sites, k=k,
                            weights=weights, probability=probability)
+
+
+class _BodyTooLarge(ValueError):
+    """A declared request body above :data:`_MAX_BODY_BYTES` (HTTP 413)."""
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -136,6 +146,14 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True
             raise ValueError(f"invalid Content-Length {header!r}")
         length = int(header)
+        if length > _MAX_BODY_BYTES:
+            # Refused before reading: no allocation of the declared
+            # size, no thread left waiting for bytes never sent.  The
+            # body stays unread on the stream: answer, then close.
+            self.close_connection = True
+            raise _BodyTooLarge(
+                f"Content-Length {length} exceeds the "
+                f"{_MAX_BODY_BYTES}-byte body limit")
         raw = self.rfile.read(length) if length else b"{}"
         doc = json.loads(raw.decode("utf-8"))
         if not isinstance(doc, dict):
@@ -188,6 +206,8 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 self._send_json(404,
                                 {"error": f"unknown path {self.path}"})
+        except _BodyTooLarge as exc:
+            self._send_json(413, {"error": str(exc)})
         except (ValueError, json.JSONDecodeError) as exc:
             self._send_json(400, {"error": str(exc)})
         except Exception as exc:

@@ -14,10 +14,11 @@ request after it runs against what publish produced:
   the shared precomputation of every query operator;
 * the Theorem-2/3 registry: after the first *exact* solve completes,
   the certified optimum seeds ``MaxMin`` of every later solve on the
-  instance, and the accepted covers seed its Theorem 3 registry — the
-  cross-request analogue of cross-tile seeding in the sharded engine,
-  sound for the same reason (the seeding solve's regions are merged
-  back into every seeded solve's answer).
+  instance, and its found regions (:data:`~repro.core.region
+  .FoundRegion`) seed its Theorem 3 registry — the cross-request
+  analogue of cross-tile seeding in the sharded engine, sound for the
+  same reason (the seeding solve's regions are merged back into every
+  seeded solve's answer).
 
 The registry is keyed by the store handle's key string, so an instance
 id doubles as the attachment key a worker rotates its cache around.
@@ -34,15 +35,11 @@ import numpy as np
 from repro.core.nlc import build_knn_tree, build_nlcs, nlc_space
 from repro.core.problem import MaxBRkNNProblem
 from repro.core.queries import knn_sites
+from repro.core.region import FoundRegion
 from repro.geometry.rect import Rect
 from repro.index.circleset import CircleSet
 
 __all__ = ["InstanceRegistry", "ServedInstance", "problem_from_payload"]
-
-#: ``(cover, score, rect_tuple)`` — one accepted region of a completed
-#: exact solve, in the shape the Theorem-3 seeding and the region merge
-#: both consume.
-SeedEntry = tuple[tuple[int, ...], float, tuple[float, float, float, float]]
 
 
 def problem_from_payload(payload: tuple) -> MaxBRkNNProblem:
@@ -82,7 +79,7 @@ class ServedInstance:
         # serves batches from worker threads.
         self._lock = threading.Lock()
         self.certified_bound: float | None = None
-        self.seed_entries: tuple[SeedEntry, ...] = ()
+        self.seed_entries: tuple[FoundRegion, ...] = ()
         # Cache epoch: the result cache stamps every stored entry with
         # the epoch current at solve time, so bumping it (future
         # dynamics — site churn, customer updates) atomically hides
@@ -118,7 +115,7 @@ class ServedInstance:
         return (problem.customers, problem.sites, int(problem.k),
                 problem.weights, probs)
 
-    def certificate(self) -> tuple[float, tuple[SeedEntry, ...]]:
+    def certificate(self) -> tuple[float, tuple[FoundRegion, ...]]:
         """The current Theorem-2/3 registry: ``(bound, seed_entries)``.
 
         ``bound`` is 0.0 until an exact solve completes — seeding a zero
@@ -128,7 +125,7 @@ class ServedInstance:
             return (self.certified_bound or 0.0, self.seed_entries)
 
     def record_certificate(self, bound: float,
-                           entries: tuple[SeedEntry, ...]) -> None:
+                           entries: tuple[FoundRegion, ...]) -> None:
         """Install an exact solve's certificate (first writer wins — the
         instance is immutable, so every exact solve proves the same
         optimum and the first one to finish is as good as any)."""

@@ -24,6 +24,7 @@ request, ``serve/solve`` around each MaxFirst run.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Sequence
 
 import numpy as np
@@ -33,13 +34,13 @@ from repro.core.maxfirst import MaxFirst
 from repro.core.problem import MaxBRkNNProblem
 from repro.core.queries import (brknn_of_site, impact_of_new_site,
                                 site_influence)
-from repro.core.region import compute_optimal_region
+from repro.core.region import (FoundRegion, compute_optimal_region,
+                               found_regions, keep_top_t, select_found)
 from repro.geometry.rect import Rect
 from repro.obs import metrics as _obs_metrics
 from repro.obs.trace import TRACER, span
 from repro.serve.cache import DEFAULT_CACHE_BYTES, ResultCache
-from repro.serve.instance import (InstanceRegistry, SeedEntry,
-                                  ServedInstance)
+from repro.serve.instance import InstanceRegistry, ServedInstance
 from repro.serve.protocol import (MAX_HEATMAP_EDGE, AnytimeSolveRequest,
                                   BrknnRequest, BrknnResponse,
                                   ErrorResponse, HeatmapRequest,
@@ -55,14 +56,10 @@ _SERVE_REQUESTS = _obs_metrics.counter("serve_requests")
 _SERVE_BATCHES = _obs_metrics.counter("serve_batches")
 _SERVE_POOL_SUBMISSIONS = _obs_metrics.counter("serve_pool_submissions")
 
-#: ``(bound, seed_entries)`` — the Theorem-2/3 registry snapshot a batch
+#: ``(bound, found)`` — the Theorem-2/3 registry snapshot a batch
 #: executes under (see :meth:`repro.serve.instance.ServedInstance
 #: .certificate`).
-Certificate = tuple[float, tuple[SeedEntry, ...]]
-
-
-def _rect_tuple(rect: Rect) -> tuple[float, float, float, float]:
-    return (rect.xmin, rect.ymin, rect.xmax, rect.ymax)
+Certificate = tuple[float, tuple[FoundRegion, ...]]
 
 
 def _solve_instance(nlcs: Any, space: Rect, top_t: int, epsilon: float,
@@ -77,78 +74,53 @@ def _solve_instance(nlcs: Any, space: Rect, top_t: int, epsilon: float,
     proven optimum from the first pop) and the recorded covers enter
     the Theorem 3 registry — quadrants of already-found regions prune
     immediately, and the regions themselves are merged back from the
-    seed entries below, exactly as the sharded engine re-reports covers
-    seeded across tiles.
+    certificate's found regions below, exactly as the sharded engine
+    re-reports covers seeded across tiles.  A top-t solve runs unseeded
+    (seeded covers would mask lower tiers) and reports its ``t`` best
+    score tiers.
     """
     if nlcs is None or len(nlcs) == 0:
         # Degenerate instance: nothing scores anywhere.
         return SolveResponse(score=0.0, upper_bound=0.0, regions=()), None
 
     solver = MaxFirst(top_t=top_t, epsilon=epsilon)
-    if top_t != 1:
-        accepted, max_min, _stats = solver.run_phase1(nlcs, space)
-        regions = solver.build_regions(accepted, max_min, nlcs)
-        summaries = []
-        for region in regions:
-            p = region.representative_point()
-            summaries.append(RegionSummary(
-                score=region.score, area=region.area, x=p.x, y=p.y,
-                cover=tuple(int(i) for i in region.cover)))
-        return SolveResponse(score=max_min,
-                             upper_bound=solver.last_upper_bound,
-                             regions=tuple(summaries)), None
-
-    bound, seeds = certificate
-    seed_covers = (tuple((cover, score) for cover, score, _rect in seeds)
-                   or None)
+    bound, seeds = certificate if top_t == 1 else (0.0, ())
     accepted, max_min, _stats = solver.run_phase1(
-        nlcs, space, initial_bound=bound, seed_covers=seed_covers)
-    upper = solver.last_upper_bound
+        nlcs, space, initial_bound=bound,
+        seed_covers=[(cover, score) for cover, score, _ in seeds] or None)
     tol = solver.tie_tol * max(1.0, abs(max_min))
-
-    # Accepted covers of this run plus every seeded cover, deduplicated
-    # by cover identity.  Seeding makes the search *skip* regions the
-    # certificate already proved, so those regions must come back from
-    # the seed entries — dropping this merge would under-report exactly
-    # the regions the speedup avoided re-tessellating.
-    entries: dict[tuple[int, ...], tuple[float, tuple]] = {}
-    all_entries: list[SeedEntry] = []
-    for quad in accepted:
-        key = quad.cover_key()
-        rect = _rect_tuple(quad.rect)
-        all_entries.append((key, float(quad.min_hat), rect))
-        if quad.min_hat >= max_min - tol and key not in entries:
-            entries[key] = (float(quad.min_hat), rect)
-    for cover, score, rect in seeds:
-        all_entries.append((cover, score, rect))
-        if score >= max_min - tol and cover not in entries:
-            entries[cover] = (score, rect)
-
+    # This run's found regions, then the certificate's: seeding makes
+    # the search *skip* regions the certificate already proved, so those
+    # regions must come back from it — growing only this run's would
+    # under-report exactly the regions the speedup avoided
+    # re-tessellating.
+    found = [*found_regions(accepted), *seeds]
     regions = [
-        compute_optimal_region(Rect(*rect),
-                               np.asarray(cover, dtype=np.int64), nlcs,
-                               score=score)
-        for cover, (score, rect) in entries.items()
+        compute_optimal_region(rect, cover, nlcs, score=score)
+        for cover, score, rect in select_found(
+            found, max_min - tol if top_t == 1 else -math.inf)
     ]
     regions.sort(key=lambda r: -r.score)
+    if top_t > 1:
+        regions = keep_top_t(regions, top_t, tol)
     summaries = []
     for region in regions:
         p = region.representative_point()
         summaries.append(RegionSummary(
             score=region.score, area=region.area, x=p.x, y=p.y,
-            cover=tuple(int(i) for i in region.cover)))
-    response = SolveResponse(score=max_min, upper_bound=upper,
+            cover=region.cover))
+    response = SolveResponse(score=max_min,
+                             upper_bound=solver.last_upper_bound,
                              regions=tuple(summaries))
-    new_certificate: Certificate | None = None
     # repro: float-eq(epsilon is a user-supplied mode flag, not a
     # computed value: exactly 0.0 selects the exact solve, anything
     # else the anytime mode — no arithmetic ever produces it)
-    if epsilon == 0.0:
-        # Exact completion: the score is the proven optimum and every
-        # accepted cover (this run's and the inherited seeds') is a
-        # sound Theorem 3 seed for later solves on this instance.
-        new_certificate = (float(max_min), tuple(all_entries))
-    return response, new_certificate
+    if top_t != 1 or epsilon != 0.0:
+        return response, None
+    # Exact top-1 completion: the score is the proven optimum and every
+    # found region (this run's and the inherited ones) is a sound
+    # Theorem 3 seed for later solves on this instance.
+    return response, (float(max_min), tuple(found))
 
 
 def execute_requests(problem: MaxBRkNNProblem, ranks: np.ndarray,
@@ -387,8 +359,7 @@ class QueryService:
             self._pool = pool
         trace_enabled = TRACER.enabled
         job = (instance.instance_id, instance.payload(), instance.handle,
-               _rect_tuple(instance.space),
-               tuple(encode_request(r) for r in group),
+               instance.space, tuple(encode_request(r) for r in group),
                instance.certificate(), trace_enabled)
         _SERVE_POOL_SUBMISSIONS.add(1)
         launch_ts = TRACER.now() if trace_enabled else 0.0

@@ -1,10 +1,13 @@
 """Tests for repro.core.region (Phase II / Algorithm 2)."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core.nlc import build_nlcs
-from repro.core.region import OptimalRegion, compute_optimal_region
+from repro.core.region import (OptimalRegion, compute_optimal_region,
+                               select_found)
 from repro.geometry.circle import Circle
 from repro.geometry.intersection import intersect_disks
 from repro.geometry.rect import Rect
@@ -116,3 +119,31 @@ class TestOptimalRegionApi:
         region = self._region()
         with pytest.raises(AttributeError):
             region.score = 3.0
+
+
+class TestSelectFound:
+    """Phase II's selection policy over ``(cover, score, rect)`` triples."""
+
+    A = Rect(0, 0, 1, 1)
+    B = Rect(1, 0, 2, 1)
+    C = Rect(0, 1, 1, 2)
+
+    def test_keeps_discovery_order(self):
+        found = [((5, 7), 3.0, self.A), ((1, 2), 3.0, self.B),
+                 ((3,), 3.0, self.C)]
+        assert select_found(found, 3.0) == found
+
+    def test_repeated_cover_keeps_its_first_rect(self):
+        found = [((1, 2), 3.0, self.A), ((4,), 3.0, self.B),
+                 ((1, 2), 3.0, self.C)]
+        assert select_found(found, 3.0) == found[:2]
+
+    def test_scores_below_the_floor_are_dropped(self):
+        found = [((1,), 2.0, self.A), ((2, 3), 3.0, self.B),
+                 ((4,), 2.5, self.C)]
+        assert select_found(found, 2.9) == [found[1]]
+
+    def test_minus_inf_floor_keeps_every_tier(self):
+        found = [((1,), 1.0, self.A), ((2, 3), 3.0, self.B),
+                 ((4,), 0.0, self.C), ((2, 3), 3.0, self.A)]
+        assert select_found(found, -math.inf) == found[:3]

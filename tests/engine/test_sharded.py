@@ -127,6 +127,29 @@ class TestShardedExactness:
         assert result.score == single.score
         assert _region_keys(result) == _region_keys(single)
 
+    def test_backend_option_reaches_every_tile(self, monkeypatch):
+        """Each tile builds its backend inside ``run_phase1``, so
+        ``backend="rtree"`` applies per tile, as in serial mode, and the
+        answer still matches the single-process run."""
+        import repro.core.maxfirst as maxfirst_module
+
+        built = []
+        make_backend = maxfirst_module.make_backend
+
+        def recording(name, nlcs, graze_tol=0.0):
+            built.append(name)
+            return make_backend(name, nlcs, graze_tol=graze_tol)
+
+        problem = _problem(60, 6, k=2, seed=3)
+        single = MaxFirst(backend="rtree").solve(problem)
+        sharded = ShardedMaxFirst(shards=4, mode="tiles", backend="rtree")
+        tiles = sharded.plan(build_nlcs(problem)).n_shards
+        monkeypatch.setattr(maxfirst_module, "make_backend", recording)
+        result = sharded.solve(problem)
+        assert built == ["rtree"] * tiles
+        assert result.score == single.score
+        assert _region_keys(result) == _region_keys(single)
+
     def test_one_shard_degenerates_to_single(self):
         problem = _problem(50, 6, seed=2)
         single = MaxFirst().solve(problem)
@@ -202,7 +225,7 @@ class TestBoundExchange:
                 out = run_tile(owner.handle, i, tile, window,
                                plan.resolution, {},
                                lambda local: max(local, plan.seed_bound),
-                               0, [], set())
+                               0, [])
                 independent_pops += out.stats["generated"]
         assert shared_pops <= independent_pops
 

@@ -126,6 +126,27 @@ class TestFailClosed:
         assert response.getheader("Connection") == "close"
         assert "Content-Length" in doc["error"]
 
+    @pytest.mark.parametrize("length", [2 ** 30, 10 ** 12])
+    def test_oversized_body_is_413_before_reading(self, daemon, length):
+        """A declared length above the body cap is refused before any
+        read: no allocation of the declared size, and no handler thread
+        left waiting for bytes the client never sends."""
+        host, port = daemon.address
+        conn = HTTPConnection(host, port, timeout=5.0)
+        try:
+            conn.putrequest("POST", "/query")
+            conn.putheader("Content-Length", str(length))
+            conn.endheaders(b"{")
+            response = conn.getresponse()
+            doc = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 413
+        assert response.getheader("Connection") == "close"
+        assert "Content-Length" in doc["error"]
+        with ServeClient(host, port) as client:
+            assert client.health()["status"] == "ok"
+
     def test_batch_timeout_is_500_and_keeps_the_connection(
             self, daemon, serve_problem):
         host, port = daemon.address
