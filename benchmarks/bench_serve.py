@@ -109,15 +109,14 @@ def _print_row(row: dict) -> None:
           f"best={row['best_round_s']:.4f}s)")
 
 
-def run(rounds: int = 20, workers: int | None = None) -> dict:
+def run(rounds: int = 20) -> dict:
     problem = tiny_problem()
     ranks = knn_sites(problem)
     n_sites = problem.n_sites
     rows = []
 
     # -- in-process arms ------------------------------------------------- #
-    with QueryService(store="ram", workers=workers,
-                      cache_bytes=0) as service:
+    with QueryService(store="ram", cache_bytes=0) as service:
         instance = service.publish(problem)
         batch = _bench_batch(instance.instance_id, n_sites)
         cold = service.execute(batch)               # warm-up + identity
@@ -129,7 +128,7 @@ def run(rounds: int = 20, workers: int | None = None) -> dict:
     rows.append(row)
     _print_row(row)
 
-    with QueryService(store="ram", workers=workers) as service:
+    with QueryService(store="ram") as service:
         instance = service.publish(problem)
         batch = _bench_batch(instance.instance_id, n_sites)
         miss_pass = service.execute(batch)          # fills the cache
@@ -148,7 +147,7 @@ def run(rounds: int = 20, workers: int | None = None) -> dict:
                            "results")
     os.makedirs(out_dir, exist_ok=True)
     for arm, cache_bytes in (("socket_cold", 0), ("socket_warm", None)):
-        proc, host, port = _boot_daemon(out_dir, "shm", workers,
+        proc, host, port = _boot_daemon(out_dir, "shm",
                                         cache_bytes=cache_bytes)
         try:
             with ServeClient(host, port) as client:
@@ -184,7 +183,6 @@ def run(rounds: int = 20, workers: int | None = None) -> dict:
                    "queries and warm byte-identity vs cold asserted "
                    "before timing"),
         "rounds": rounds,
-        "workers": workers,
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "identity": ("cold responses bit-identical to direct in-process "
@@ -205,9 +203,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rounds", type=int, default=20,
                         help="timed rounds per arm (best is reported)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="pool workers for the service (default: "
-                             "in-process execution)")
     parser.add_argument("--tiny", action="store_true",
                         help="CI smoke: 5 rounds")
     parser.add_argument("--out", default=os.path.join(
@@ -215,7 +210,7 @@ def main(argv=None) -> int:
         "BENCH_serve.json"))
     args = parser.parse_args(argv)
     rounds = 5 if args.tiny else args.rounds
-    report = run(rounds=rounds, workers=args.workers)
+    report = run(rounds=rounds)
     out_path = os.path.abspath(args.out)
     with open(out_path, "w") as fh:
         json.dump(report, fh, indent=2)

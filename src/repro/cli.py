@@ -6,7 +6,7 @@ Five subcommands::
         --probability 0.8,0.2
     repro-maxbrknn generate --kind uniform -n 1000 -o points.csv --seed 7
     repro-maxbrknn bench --figure fig10a --scale tiny
-    repro-maxbrknn serve --port 0 --store shm --workers 2
+    repro-maxbrknn serve --port 0 --store shm
     repro-maxbrknn query --url 127.0.0.1:8421 --instance ID --kind brknn \
         --site 3
 
@@ -121,9 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--pool", type=int, default=None, metavar="WORKERS",
                        help="worker-process count for pool-mode sharding "
                             "(default: min(shards, cpu count))")
-    solve.add_argument("--oversubscribe", type=int, default=1,
-                       help="cut each shard into this many finer tiles so "
-                            "idle pool workers can steal queued work")
     solve.add_argument("--store", choices=("ram", "shm", "memmap"),
                        default=None,
                        help="NLC storage backend: ram keeps in-process "
@@ -171,11 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="NLC storage backend for published "
                             "instances (unset defers to REPRO_STORE, "
                             "then ram)")
-    serve.add_argument("--workers", type=int, default=None,
-                       metavar="N",
-                       help="answer batches through N pool worker "
-                            "processes mapping the store zero-copy "
-                            "(default: in-process)")
     serve.add_argument("--linger", type=float, default=0.005,
                        help="batch-coalescing window in seconds")
     serve.add_argument("--cache-bytes", type=int, default=None,
@@ -270,7 +262,6 @@ def _cmd_solve(args) -> int:
         options["shards"] = args.shards
         options["mode"] = args.shard_mode
         options["max_workers"] = args.pool
-        options["oversubscribe"] = args.oversubscribe
     if args.store is not None:
         options["store"] = args.store
     tracing = args.trace is not None
@@ -344,8 +335,7 @@ def _cmd_serve(args) -> int:
     if args.cache_bytes is not None:
         kwargs["cache_bytes"] = args.cache_bytes
     daemon = ServeDaemon(host=args.host, port=args.port,
-                         store=args.store, workers=args.workers,
-                         linger=args.linger, **kwargs)
+                         store=args.store, linger=args.linger, **kwargs)
     host, port = daemon.address
     # The smoke harness parses this line to find an ephemeral port, so
     # keep the format stable and flush before blocking.

@@ -344,7 +344,6 @@ class ShardedMaxFirstPipeline(_NlcStageMixin, SolverPipeline):
         ctx.report.meta["shards"] = self.solver.shards
         ctx.report.meta["tiles"] = ctx.plan.n_shards
         ctx.report.meta["mode"] = self.solver.mode
-        ctx.report.meta["oversubscribe"] = self.solver.oversubscribe
         ctx.report.meta["workers"] = (self.solver.max_workers
                                       or min(self.solver.shards,
                                              os.cpu_count() or 1))

@@ -1,14 +1,13 @@
-"""Persistent worker pool for sharded Phase I and pooled serving.
+"""Persistent worker pool for sharded Phase I.
 
 One :class:`PersistentPool` lives per :class:`~repro.engine.sharded.ShardedMaxFirst`
-instance (and per pooled :class:`~repro.serve.service.QueryService`) and
-is reused across tiles, pipeline stages, and repeated ``solve()`` calls
-— process startup (interpreter boot plus the numpy and kernel imports)
-is paid once, not per solve.  The start method is ``forkserver`` where
-available (workers inherit a warmed template process, immune to the
-parent's thread state) with a ``spawn`` fallback; ``fork`` is
-deliberately not used — a forked worker would snapshot the parent's
-metrics registry and tracer mid-solve.
+instance and is reused across tiles, pipeline stages, and repeated
+``solve()`` calls — process startup (interpreter boot plus the numpy
+and kernel imports) is paid once, not per solve.  The start method is
+``forkserver`` where available (workers inherit a warmed template
+process, immune to the parent's thread state) with a ``spawn``
+fallback; ``fork`` is deliberately not used — a forked worker would
+snapshot the parent's metrics registry and tracer mid-solve.
 
 Workers never receive NLC payloads: tiles arrive as a few-dozen-byte
 job tuple carrying a storage-backend handle (:mod:`repro.store`) plus
@@ -39,18 +38,15 @@ from __future__ import annotations
 import os
 from typing import Any
 
-from repro.obs import metrics as _obs_metrics
 from repro.obs.trace import TRACER
 
-__all__ = ["PersistentPool", "WORKER_ENTRY_POINTS", "serve_query_batch",
-           "solve_tile"]
+__all__ = ["PersistentPool", "WORKER_ENTRY_POINTS", "solve_tile"]
 
 #: Functions that run inside pool worker processes.  The analysis
 #: layer's call graph roots its worker-reachability marking here (in
 #: addition to detecting direct ``submit(...)`` first arguments), so
 #: keep this tuple in sync when adding a worker entry.
-WORKER_ENTRY_POINTS: tuple[str, ...] = (
-    "_init_pool_worker", "solve_tile", "serve_query_batch")
+WORKER_ENTRY_POINTS: tuple[str, ...] = ("_init_pool_worker", "solve_tile")
 
 # ---------------------------------------------------------------------- #
 # Worker-process globals (set by the pool initializer / per-epoch)
@@ -147,74 +143,6 @@ def solve_tile(job: tuple) -> tuple:
     return (tile_index, os.getpid(), output, spans)
 
 
-#: This worker's cached serve instance: ``(instance_key, problem,
-#: ranks, nlcs)``.  One instance per worker — a long-lived query
-#: service typically serves one published dataset per pool, and a
-#: single slot makes the store-attachment rotation trivial.
-_SERVE_STATE: list = [("", None, None, None)]
-
-
-def serve_query_batch(job: tuple) -> tuple:
-    """Worker entry: answer one instance-group of serve requests.
-
-    ``job`` is ``(instance_key, payload, handle, space,
-    request_docs, certificate, trace_enabled)`` — the tiny problem
-    payload plus the NLC store *handle*; NLC bytes never ride in the
-    job.  The worker's first batch for an instance rebuilds the problem
-    and the customer→site rank matrix once and attaches the published
-    store zero-copy (``shm``/``memmap``); every later batch is a pure
-    cache hit.  Requests are executed by the same
-    :func:`repro.serve.service.execute_requests` the in-process path
-    uses — including ``heatmap`` tile fills, whose Phase I tessellation
-    capture and rasterisation run worker-side against the mapped store
-    (the ``heatmap_tiles_filled`` counter rides home in
-    ``obs_counters``) — so pooled responses are bit-identical to
-    in-process ones.  The parent's result cache sits *above* this entry
-    point: only cache misses are ever shipped to a worker.  Returns
-    ``(response_docs, new_certificate, obs_counters, obs_gauges,
-    spans)``.
-    """
-    (instance_key, payload, handle, space, request_docs,
-     certificate, trace_enabled) = job
-    from repro import store as nlc_store
-    from repro.serve.instance import problem_from_payload
-    from repro.serve.protocol import decode_request, encode_response
-    from repro.serve.service import execute_requests
-    from repro.store import sanitize
-
-    TRACER.reset(enabled=bool(trace_enabled))
-    with sanitize.task("serve_query_batch"), \
-            _obs_metrics.REGISTRY.isolated() as box:
-        with TRACER.span("serve/batch", requests=len(request_docs)):
-            cached_key, problem, ranks, nlcs = _SERVE_STATE[0]
-            if cached_key != instance_key:
-                from repro.core.queries import knn_sites
-
-                # Rotate: keep only this instance's store mapped (same
-                # idiom as the Phase I epoch turn).
-                if handle is not None:
-                    nlc_store.detach(keep=(handle[1],))
-                    nlcs = nlc_store.attach(handle)
-                else:
-                    nlc_store.detach()
-                    nlcs = None
-                problem = problem_from_payload(payload)
-                ranks = knn_sites(problem)
-                # repro: worker-state(single-slot per-worker instance
-                # cache: the rank matrix and problem are pure functions
-                # of the shipped payload, so a hit and a rebuild answer
-                # identically — caching only skips the recompute)
-                _SERVE_STATE[0] = (instance_key, problem, ranks, nlcs)
-            requests = [decode_request(doc) for doc in request_docs]
-            responses, new_certificate = execute_requests(
-                problem, ranks, nlcs, space, requests, certificate)
-            docs = [encode_response(response) for response in responses]
-    spans = ([record.as_dict() for record in TRACER.drain()]
-             if trace_enabled else [])
-    return (docs, new_certificate, dict(box["counters"]),
-            dict(box["gauges"]), spans)
-
-
 class PersistentPool:
     """Lazily-started, reusable process pool with a shared bound cell.
 
@@ -224,19 +152,16 @@ class PersistentPool:
     context so it is inheritable under both start methods.
     """
 
-    def __init__(self, max_workers: int, start_method: str | None = None
-                 ) -> None:
+    def __init__(self, max_workers: int) -> None:
         import multiprocessing as mp
 
         if max_workers < 1:
             raise ValueError("max_workers must be positive")
-        if start_method is None:
-            methods = mp.get_all_start_methods()
-            start_method = ("forkserver" if "forkserver" in methods
-                            else "spawn")
+        methods = mp.get_all_start_methods()
         self.max_workers = max_workers
-        self.start_method = start_method
-        self._ctx = mp.get_context(start_method)
+        self.start_method = ("forkserver" if "forkserver" in methods
+                             else "spawn")
+        self._ctx = mp.get_context(self.start_method)
         self._bound = self._ctx.Value("d", 0.0)
         self._executor: Any = None
 
@@ -278,7 +203,3 @@ class PersistentPool:
     def submit(self, job: tuple) -> Any:
         """Queue one tile job; any idle worker will pull it."""
         return self.executor().submit(solve_tile, job)
-
-    def submit_call(self, fn: Any, job: tuple) -> Any:
-        """Queue an arbitrary worker entry (e.g. :func:`serve_query_batch`)."""
-        return self.executor().submit(fn, job)

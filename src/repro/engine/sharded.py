@@ -35,8 +35,8 @@ Execution modes
 ---------------
 ``"pool"`` runs tiles on the instance's persistent worker pool
 (:mod:`repro.engine.pool`): the NLC arrays are published once per solve
-through a :mod:`repro.store` backend (``shm`` by default; the ``store``
-option or ``REPRO_STORE`` picks ``memmap`` / ``ram``), each tile job is
+through a :mod:`repro.store` backend (``shm`` by default;
+``REPRO_STORE`` picks ``memmap`` / ``ram``), each tile job is
 a few-dozen-byte tuple carrying the handle plus the tile's row window,
 workers attach only that slice, and the executor's single call queue is
 the work-stealing mechanism — idle workers pull the next tile, so a
@@ -56,8 +56,7 @@ weak local bound while the optimum sits in a hot tile it hasn't reached;
 serial overhead collapses to just the cut-line tessellation (~3% on
 fig11-uniform, vs ~25% for tile-at-a-time execution).  ``"auto"`` picks
 the pool when the machine has more than one core.  A one-tile plan
-always runs in-process.  ``oversubscribe`` cuts the grid finer than the
-worker count so stealing has slack to balance with.
+always runs in-process.
 """
 
 from __future__ import annotations
@@ -112,20 +111,8 @@ class ShardedMaxFirst:
     max_workers:
         Worker-process cap for the pool; defaults to
         ``min(shards, cpu_count)``.
-    oversubscribe:
-        Tile-to-worker ratio: the grid is cut for
-        ``shards * oversubscribe`` tiles so the work-stealing queue has
-        slack to balance dense tiles.  1 keeps one tile per requested
-        shard.
     sync_interval:
         Pops between bound-exchange polls inside each shard's Phase I.
-    store:
-        Storage backend for the pool transport (``"ram"`` / ``"shm"`` /
-        ``"memmap"``); ``None`` defers to ``REPRO_STORE`` and then
-        ``"shm"``.  Ignored when :attr:`external_store` is set — the
-        engine pipeline publishes the NLC set once and hands its store
-        over, so pool mode ships that handle instead of publishing a
-        second copy.
     maxfirst_options:
         Forwarded to every per-shard :class:`MaxFirst` (``top_t`` must
         stay 1: the top-t frontier is not a global bound).
@@ -137,9 +124,7 @@ class ShardedMaxFirst:
 
     def __init__(self, shards: int = 2, mode: str = "auto",
                  max_workers: int | None = None,
-                 oversubscribe: int = 1,
                  sync_interval: int = 1024,
-                 store: str | None = None,
                  **maxfirst_options: Any) -> None:
         if shards < 1:
             raise ValueError("shards must be positive")
@@ -149,16 +134,10 @@ class ShardedMaxFirst:
             raise ValueError("sharded execution requires top_t == 1")
         if sync_interval < 1:
             raise ValueError("sync_interval must be positive")
-        if oversubscribe < 1:
-            raise ValueError("oversubscribe must be positive")
-        if store is not None:
-            nlc_store.resolve_store_name(store)  # fail fast on unknown
         self.shards = shards
         self.mode = mode
         self.max_workers = max_workers
-        self.oversubscribe = oversubscribe
         self.sync_interval = sync_interval
-        self.store = store
         #: A live :class:`repro.store.NLCStore` whose rows are exactly
         #: the NLC set being solved; when set (by the engine pipeline),
         #: every mode reads that store instead of publishing its own
@@ -225,7 +204,7 @@ class ShardedMaxFirst:
     def plan(self, nlcs: CircleSet) -> StreamPlan:
         """Partition the space and assign each tile its row window."""
         return plan_streamed(
-            self._tile_store(nlcs)[0], self.shards * self.oversubscribe,
+            self._tile_store(nlcs)[0], self.shards,
             resolution_fraction=self._solver.resolution_fraction)
 
     def execute(self, nlcs: CircleSet,
@@ -243,19 +222,19 @@ class ShardedMaxFirst:
             try:
                 return self._execute_processes(nlcs, plan)
             except (OSError, ImportError, BrokenProcessPool,
-                    pickle.PicklingError) as exc:  # pragma: no cover
-                # Restricted environments (no /dev/shm, no working
-                # spawn) and workers killed mid-run (OOM reaper): the
-                # tiles mode replays the pool's schedule in-process
-                # and computes the identical result.
+                    pickle.PicklingError) as exc:
+                # Drop the broken executor in either mode so a later
+                # solve on this instance starts a fresh pool.
+                if self._pool is not None:
+                    self._pool.discard()
                 if self.mode == "pool":
                     raise RuntimeError(
                         f"pool-mode sharding unavailable: {exc}"
                     ) from exc
-                # Drop the broken executor so a later solve on this
-                # instance can try a fresh pool.
-                if self._pool is not None:
-                    self._pool.discard()
+                # Restricted environments (no /dev/shm, no working
+                # spawn) and workers killed mid-run (OOM reaper): the
+                # tiles mode replays the pool's schedule in-process
+                # and computes the identical result.
                 mode = "tiles"
         if mode == "tiles":
             return run_tiles(self._tile_store(nlcs)[0], plan,
@@ -303,8 +282,7 @@ class ShardedMaxFirst:
                 solver = MaxFirst(**self.maxfirst_options)
                 # The plan kept exactly the grid cells with a nonempty
                 # halo, in grid order.
-                halos = grid_halos(nlcs, plan.space,
-                                   self.shards * self.oversubscribe)
+                halos = grid_halos(nlcs, plan.space, self.shards)
                 roots = list(zip(plan.tiles,
                                  [cand for cand in halos if cand.shape[0]],
                                  strict=True))
@@ -331,9 +309,10 @@ class ShardedMaxFirst:
         """Pool execution: store publish + work-stealing queue.
 
         The NLC arrays cross the process boundary exactly once per
-        solve, published through the configured :mod:`repro.store`
-        backend (or reusing :attr:`external_store`'s handle when the
-        pipeline already published); each tile job is a few-dozen-byte
+        solve, published through the :mod:`repro.store` backend
+        ``REPRO_STORE`` names, else ``shm`` (or reusing
+        :attr:`external_store`'s handle when the pipeline already
+        published); each tile job is a few-dozen-byte
         tuple carrying the handle plus the tile's row window, so a
         worker attaches only that slice.  Jobs are submitted
         individually — the executor's call queue is the stealing
@@ -348,8 +327,7 @@ class ShardedMaxFirst:
         handle, external = self._tile_store(nlcs)
         owner: nlc_store.NLCStore | None = None
         if not external:
-            backend_name = nlc_store.resolve_store_name(self.store,
-                                                        default="shm")
+            backend_name = nlc_store.resolve_store_name(default="shm")
             with span("shard/store_publish", nlcs=len(nlcs),
                       store=backend_name):
                 owner = nlc_store.publish(nlcs, backend_name)

@@ -69,17 +69,14 @@ GATED_COUNTERS: tuple[str, ...] = (
 #: Serve-layer counters pinned by the gate's ``serve`` arm.  They count
 #: batch composition, not timing: the scripted workload
 #: (:mod:`repro.serve.workload`) has a fixed number of requests and
-#: batches, and pool submissions are counted parent-side per instance
-#: group — independent of worker count — so the arm is exactly as
-#: deterministic as the solver arms.  The cache counters pin the
-#: workload's repeat structure (its repeated-request phase hits, its
-#: distinct requests miss, nothing evicts under the default budget),
-#: and ``heatmap_tiles_filled`` pins the tessellation rasterised by the
-#: heat-map phase.
+#: batches, so the arm is exactly as deterministic as the solver arms.
+#: The cache counters pin the workload's repeat structure (its
+#: repeated-request phase hits, its distinct requests miss, nothing
+#: evicts under the default budget), and ``heatmap_tiles_filled`` pins
+#: the tessellation rasterised by the heat-map phase.
 SERVE_GATED_COUNTERS: tuple[str, ...] = (
     "serve_requests",
     "serve_batches",
-    "serve_pool_submissions",
     "serve_cache_hits",
     "serve_cache_misses",
     "serve_cache_evictions",
@@ -142,17 +139,16 @@ def collect_serve_counters(scale: str = "tiny") -> dict[str, int]:
     """Replay the scripted serve workload; return flat
     ``serve_{scale}/{counter}`` values.
 
-    The workload runs through a pooled :class:`~repro.serve.service
-    .QueryService` (``workers=1``) so the pool-submission path is
-    exercised, inside an isolated metrics registry so concurrent solver
-    arms cannot leak into the serve numbers (or vice versa).
+    The workload runs through a :class:`~repro.serve.service
+    .QueryService` inside an isolated metrics registry so concurrent
+    solver arms cannot leak into the serve numbers (or vice versa).
     """
     from repro.obs import metrics as _obs_metrics
     from repro.serve.service import QueryService
     from repro.serve.workload import scripted_batches, tiny_problem
 
     with _obs_metrics.REGISTRY.isolated() as box:
-        with QueryService(store="ram", workers=1) as service:
+        with QueryService(store="ram") as service:
             instance = service.publish(tiny_problem())
             for batch in scripted_batches(instance.instance_id):
                 service.execute(batch)

@@ -67,7 +67,6 @@ COUNTER_KEYS: tuple[str, ...] = (
     "halo_assignments",
     "serve_requests",
     "serve_batches",
-    "serve_pool_submissions",
     "serve_cache_hits",
     "serve_cache_misses",
     "serve_cache_evictions",

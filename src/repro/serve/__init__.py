@@ -13,9 +13,8 @@ copies per request.  Layers, bottom up:
 * :mod:`~repro.serve.instance` — :class:`InstanceRegistry` /
   :class:`ServedInstance`, the publish step and per-instance shared
   state;
-* :mod:`~repro.serve.service` — :class:`QueryService`, batch execution
-  in-process or through ``serve_query_batch`` pool workers, fronted by
-  the result cache;
+* :mod:`~repro.serve.service` — :class:`QueryService`, in-process batch
+  execution fronted by the result cache;
 * :mod:`~repro.serve.batching` — :class:`BatchScheduler`, request
   coalescing (single-flight per canonical key) for concurrent
   front-end callers;
@@ -28,8 +27,7 @@ from repro.serve.batching import BatchScheduler, Ticket
 from repro.serve.cache import ResultCache
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.daemon import ServeDaemon, problem_from_doc
-from repro.serve.instance import (InstanceRegistry, ServedInstance,
-                                  problem_from_payload)
+from repro.serve.instance import InstanceRegistry, ServedInstance
 from repro.serve.protocol import (REQUEST_KINDS, AnytimeSolveRequest,
                                   BrknnRequest, BrknnResponse,
                                   ErrorResponse, HeatmapRequest,
@@ -72,6 +70,5 @@ __all__ = [
     "encode_response",
     "execute_requests",
     "problem_from_doc",
-    "problem_from_payload",
     "request_key",
 ]

@@ -2,7 +2,8 @@
 
 The daemon answers each HTTP request from its own handler thread, but
 the service is most efficient when compatible requests ride one batch:
-one ``serve/batch`` span, one pool job per instance group.
+one ``serve/batch`` span, one ``execute_requests`` run per instance
+group.
 :class:`BatchScheduler` sits between the two — callers
 :meth:`~BatchScheduler.submit` a request and get a :class:`Ticket`;
 a flush drains everything queued into **one**

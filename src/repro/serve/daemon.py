@@ -225,16 +225,14 @@ class ServeDaemon:
     Composes service + scheduler + HTTP server; ``serve_forever()``
     blocks until a ``/shutdown`` POST (or :meth:`request_shutdown`),
     then tears everything down — scheduler first (flushing), then the
-    service (pool and published stores).
+    service (published stores).
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
-                 store: str | None = None, workers: int | None = None,
-                 linger: float = 0.005,
+                 store: str | None = None, linger: float = 0.005,
                  request_timeout: float = 300.0,
                  cache_bytes: int = DEFAULT_CACHE_BYTES) -> None:
-        self.service = QueryService(store=store, workers=workers,
-                                    cache_bytes=cache_bytes)
+        self.service = QueryService(store=store, cache_bytes=cache_bytes)
         self.scheduler = BatchScheduler(self.service, linger=linger)
         self.request_timeout = float(request_timeout)
         self._httpd = ThreadingHTTPServer((host, port), _Handler)

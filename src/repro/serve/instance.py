@@ -3,9 +3,9 @@
 Publishing an instance is the expensive, once-per-dataset step; every
 request after it runs against what publish produced:
 
-* the NLC SoA, copied **once** into a :mod:`repro.store` backend — the
-  parent and every pool worker attach read-only views by handle, so no
-  request ever copies NLC bytes;
+* the NLC SoA, copied **once** into a :mod:`repro.store` backend —
+  requests read the read-only views attached over it, so no request
+  ever copies NLC bytes;
 * the site index (:func:`repro.core.nlc.build_knn_tree`), built once
   and fed to the NLC build, then dropped: nothing after publish reads
   it, and small long-lived arrays kept beside the build's transient
@@ -21,7 +21,7 @@ request after it runs against what publish produced:
   seeded solve's answer).
 
 The registry is keyed by the store handle's key string, so an instance
-id doubles as the attachment key a worker rotates its cache around.
+id doubles as the attachment key retiring a sibling instance keeps.
 """
 
 from __future__ import annotations
@@ -39,22 +39,7 @@ from repro.core.region import FoundRegion
 from repro.geometry.rect import Rect
 from repro.index.circleset import CircleSet
 
-__all__ = ["InstanceRegistry", "ServedInstance", "problem_from_payload"]
-
-
-def problem_from_payload(payload: tuple) -> MaxBRkNNProblem:
-    """Rebuild a problem from a :meth:`ServedInstance.payload` tuple.
-
-    Runs inside pool workers (their first batch for an instance); the
-    payload ships the exact float64 arrays, so the rebuilt problem's
-    operators answer bit-identically to the parent's.
-    """
-    from repro.core.probability import ProbabilityModel
-
-    customers, sites, k, weights, probs = payload
-    models = [ProbabilityModel.from_sequence(row) for row in probs]
-    return MaxBRkNNProblem(customers=customers, sites=sites, k=int(k),
-                           weights=weights, probability=models)
+__all__ = ["InstanceRegistry", "ServedInstance"]
 
 
 class ServedInstance:
@@ -100,20 +85,6 @@ class ServedInstance:
         with self._lock:
             self._epoch += 1
             return self._epoch
-
-    @property
-    def handle(self) -> Any:
-        """The store handle workers attach by (``None`` without NLCs)."""
-        return None if self.owner is None else self.owner.handle
-
-    def payload(self) -> tuple:
-        """The worker-transport problem payload (NLC-free; see
-        :func:`problem_from_payload`)."""
-        problem = self.problem
-        probs = np.asarray([model.probs for model in problem.models],
-                           dtype=np.float64)
-        return (problem.customers, problem.sites, int(problem.k),
-                problem.weights, probs)
 
     def certificate(self) -> tuple[float, tuple[FoundRegion, ...]]:
         """The current Theorem-2/3 registry: ``(bound, seed_entries)``.

@@ -2,22 +2,13 @@
 
 :class:`QueryService` is the in-process core the HTTP daemon and the
 CLI wrap.  One ``execute()`` call handles one *batch* of requests: the
-batch is grouped by instance, and each group runs either directly in
-this process (``workers=None``) or as **one job** through a persistent
-:class:`repro.engine.pool.PersistentPool` (``workers=N``) — the job
-ships the tiny problem payload and the NLC store *handle*, never NLC
-bytes, so a worker serves every request against its zero-copy mapped
-view of the published store.
-
-Both paths funnel into :func:`execute_requests`, so pooled and
-in-process answers are bit-identical by construction (the codecs are
-lossless; ``tests/serve/test_pool_service.py`` asserts it).
+batch is grouped by instance, and each group's result-cache misses run
+through :func:`execute_requests` in this process, against the views the
+instance attached over its published NLC store — no request copies NLC
+bytes.
 
 Counters (``repro.obs``): ``serve_requests`` and ``serve_batches``
-count what arrived, ``serve_pool_submissions`` counts instance-group
-jobs dispatched to the pool (zero for an in-process service; the count
-depends only on the batch composition, not on how many workers drain
-the queue, so a fixed scripted workload gates deterministically).
+count what arrived.
 Spans: ``serve/batch`` per ``execute()``, ``serve/request`` per
 request, ``serve/solve`` around each MaxFirst run.
 """
@@ -38,7 +29,7 @@ from repro.core.region import (FoundRegion, compute_optimal_region,
                                found_regions, keep_top_t, select_found)
 from repro.geometry.rect import Rect
 from repro.obs import metrics as _obs_metrics
-from repro.obs.trace import TRACER, span
+from repro.obs.trace import span
 from repro.serve.cache import DEFAULT_CACHE_BYTES, ResultCache
 from repro.serve.instance import InstanceRegistry, ServedInstance
 from repro.serve.protocol import (MAX_HEATMAP_EDGE, AnytimeSolveRequest,
@@ -54,7 +45,6 @@ __all__ = ["QueryService", "execute_requests"]
 
 _SERVE_REQUESTS = _obs_metrics.counter("serve_requests")
 _SERVE_BATCHES = _obs_metrics.counter("serve_batches")
-_SERVE_POOL_SUBMISSIONS = _obs_metrics.counter("serve_pool_submissions")
 
 #: ``(bound, found)`` — the Theorem-2/3 registry snapshot a batch
 #: executes under (see :meth:`repro.serve.instance.ServedInstance
@@ -127,9 +117,7 @@ def execute_requests(problem: MaxBRkNNProblem, ranks: np.ndarray,
                      nlcs: Any, space: Rect, requests: Sequence[Any],
                      certificate: Certificate
                      ) -> tuple[list[Any], Certificate | None]:
-    """Execute one instance-group of requests; the shared core of the
-    in-process and pool-worker paths (both answer bit-identically
-    because both run exactly this code against the same arrays).
+    """Execute one instance-group of requests against its arrays.
 
     Per-request failures (bad site index, invalid epsilon) come back as
     :class:`ErrorResponse` entries; only infrastructure failures raise.
@@ -214,12 +202,6 @@ class QueryService:
     store:
         NLC storage backend for publishes through this service
         (``resolve_store_name`` semantics).
-    workers:
-        ``None`` (default) executes every batch in-process.  A positive
-        integer routes each batch's instance groups through a persistent
-        worker pool of that size as single jobs
-        (:func:`repro.engine.pool.serve_query_batch`); a broken pool
-        degrades to the in-process path with a ``RuntimeWarning``.
     cache_bytes:
         Byte budget for the per-instance result cache
         (:class:`repro.serve.cache.ResultCache`; default 64 MiB).
@@ -233,17 +215,11 @@ class QueryService:
     """
 
     def __init__(self, registry: InstanceRegistry | None = None, *,
-                 store: str | None = None, workers: int | None = None,
-                 start_method: str | None = None,
+                 store: str | None = None,
                  cache_bytes: int = DEFAULT_CACHE_BYTES) -> None:
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be positive (or None)")
         self.registry = (InstanceRegistry(store=store)
                          if registry is None else registry)
-        self.workers = workers
-        self.start_method = start_method
         self.cache = ResultCache(max_bytes=cache_bytes)
-        self._pool: Any = None
 
     # -- lifecycle ----------------------------------------------------- #
 
@@ -254,10 +230,7 @@ class QueryService:
         return self.registry.publish(problem, store=store)
 
     def close(self) -> None:
-        """Shut the pool down and release every instance (idempotent)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
+        """Release every instance (idempotent)."""
         self.registry.close()
 
     def __enter__(self) -> "QueryService":
@@ -313,7 +286,11 @@ class QueryService:
                 if miss_keys:
                     group = [requests[targets[key][0]]
                              for key in miss_keys]
-                    answers = self._execute_group(instance, group)
+                    answers, fresh = execute_requests(
+                        instance.problem, instance.ranks, instance.nlcs,
+                        instance.space, group, instance.certificate())
+                    if fresh is not None:
+                        instance.record_certificate(*fresh)
                     for key, answer in zip(miss_keys, answers):
                         if not isinstance(answer, ErrorResponse):
                             self.cache.put(instance_id, key, epoch,
@@ -321,68 +298,3 @@ class QueryService:
                         for i in targets[key]:
                             responses[i] = answer
         return responses
-
-    def _execute_group(self, instance: ServedInstance,
-                       group: list[Any]) -> list[Any]:
-        if self.workers is not None:
-            answers = self._execute_group_pooled(instance, group)
-            if answers is not None:
-                return answers
-        answers, fresh = execute_requests(
-            instance.problem, instance.ranks, instance.nlcs,
-            instance.space, group, instance.certificate())
-        if fresh is not None:
-            instance.record_certificate(*fresh)
-        return answers
-
-    def _execute_group_pooled(self, instance: ServedInstance,
-                              group: list[Any]) -> list[Any] | None:
-        """One pool job for the whole group, or ``None`` to fall back.
-
-        The job ships request docs, the tiny problem payload, and the
-        store *handle* — a worker's first job for an instance rebuilds
-        the problem and rank matrix once and maps the store zero-copy;
-        every later job is a pure cache hit (see
-        :func:`repro.engine.pool.serve_query_batch`).
-        """
-        import pickle
-        import warnings
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.engine.pool import (PersistentPool, serve_query_batch)
-        from repro.serve.protocol import decode_response, encode_request
-
-        pool = self._pool
-        if not isinstance(pool, PersistentPool):
-            pool = PersistentPool(max_workers=int(self.workers or 1),
-                                  start_method=self.start_method)
-            self._pool = pool
-        trace_enabled = TRACER.enabled
-        job = (instance.instance_id, instance.payload(), instance.handle,
-               instance.space, tuple(encode_request(r) for r in group),
-               instance.certificate(), trace_enabled)
-        _SERVE_POOL_SUBMISSIONS.add(1)
-        launch_ts = TRACER.now() if trace_enabled else 0.0
-        try:
-            future = pool.submit_call(serve_query_batch, job)
-            docs, fresh, counters, gauges, spans = future.result()
-        # A dead worker or an unpicklable payload must not take the
-        # service down: drop the executor and answer in-process —
-        # identical responses, just without the pool.
-        except (BrokenProcessPool, pickle.PicklingError) as exc:
-            # repro: fallback(pooled serve batches degrade to the
-            # in-process execution path on worker/pickling failure)
-            warnings.warn(
-                f"serve pool failed ({exc!r}); answering in-process "
-                "(identical results, no pool)",
-                RuntimeWarning, stacklevel=2)
-            pool.discard()
-            self._pool = None
-            return None
-        _obs_metrics.REGISTRY.merge_counts(counters)
-        _obs_metrics.REGISTRY.merge_gauges_max(gauges)
-        if trace_enabled:
-            TRACER.ingest(spans, pid=1, ts_offset=launch_ts)
-        if fresh is not None:
-            instance.record_certificate(*fresh)
-        return [decode_response(doc) for doc in docs]

@@ -39,8 +39,7 @@ from repro.serve.protocol import (AnytimeSolveRequest, BrknnRequest,
 from repro.serve.workload import publish_doc, scripted_batches, tiny_problem
 
 
-def _boot_daemon(out_dir: str, store: str, workers: int | None,
-                 cache_bytes: int | None = None
+def _boot_daemon(out_dir: str, store: str, cache_bytes: int | None = None
                  ) -> tuple[subprocess.Popen, str, int]:
     """Start ``repro serve`` on an ephemeral port; return (proc, host,
     port) once the bound-address line appears."""
@@ -48,8 +47,6 @@ def _boot_daemon(out_dir: str, store: str, workers: int | None,
            "--store", store,
            "--trace", os.path.join(out_dir, "serve_trace.json"),
            "--metrics", os.path.join(out_dir, "metrics.json")]
-    if workers is not None:
-        cmd += ["--workers", str(workers)]
     if cache_bytes is not None:
         cmd += ["--cache-bytes", str(cache_bytes)]
     env = dict(os.environ)
@@ -131,7 +128,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="artifact directory (trace + metrics)")
     parser.add_argument("--store", default="shm",
                         choices=("ram", "shm", "memmap"))
-    parser.add_argument("--workers", type=int, default=None)
     args = parser.parse_args(argv)
     os.makedirs(args.out, exist_ok=True)
 
@@ -158,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
         for grid in sorted(grids)}
     registry.close()
 
-    proc, host, port = _boot_daemon(args.out, args.store, args.workers)
+    proc, host, port = _boot_daemon(args.out, args.store)
     checked = 0
     try:
         with ServeClient(host, port) as client:

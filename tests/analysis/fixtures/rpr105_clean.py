@@ -12,4 +12,4 @@ def run(pool, jobs):
 
 
 def run_pkg(pool, jobs):
-    return [pool.submit_call(pool_mod.serve_query_batch, job) for job in jobs]
+    return [pool.submit_call(pool_mod.solve_tile, job) for job in jobs]

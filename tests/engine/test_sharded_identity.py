@@ -129,6 +129,25 @@ class TestPoolReuse:
         assert second.score == single.score
         assert _region_keys(first) == _region_keys(second)
 
+    def test_explicit_pool_recovers_after_worker_death(self):
+        """A killed worker fails one explicit-mode solve; the broken
+        executor is dropped, so the next solve runs on a fresh pool."""
+        problem = _problem(k=2, seed=21)
+        single = MaxFirst().solve(problem)
+        before = set(_leaked_segments())
+        with ShardedMaxFirst(shards=4, mode="pool",
+                             max_workers=1) as solver:
+            solver.solve(problem)
+            workers = solver._pool.executor()._processes
+            for process in list(workers.values()):
+                process.kill()
+            with pytest.raises(RuntimeError,
+                               match="pool-mode sharding unavailable"):
+                solver.solve(problem)
+            recovered = solver.solve(problem)
+        assert recovered.score == single.score
+        assert set(_leaked_segments()) == before
+
 
 class TestExceptionSafety:
     def test_worker_failure_leaks_no_shm_and_pool_recovers(self):

@@ -108,9 +108,6 @@ class TestCollectServe:
     def test_real_requests_were_counted(self, serve_counters):
         assert serve_counters["serve_tiny/serve_requests"] > 0
         assert serve_counters["serve_tiny/serve_batches"] > 0
-        # The gate arm runs pooled, so submissions must be non-zero —
-        # a zero here means the pool path silently fell back.
-        assert serve_counters["serve_tiny/serve_pool_submissions"] > 0
 
     def test_serve_collection_does_not_leak_into_registry(self):
         from repro.obs import metrics as _obs_metrics

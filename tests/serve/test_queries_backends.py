@@ -66,21 +66,3 @@ class TestBackendsAnswerIdentically:
             (second,) = service.execute(
                 [SolveRequest(instance.instance_id)])
         assert second == first
-
-    @pytest.mark.parametrize("backend", ("shm", "memmap"))
-    def test_pooled_worker_attaches_by_handle(self, backend,
-                                              serve_problem):
-        """Workers serve shareable backends through a zero-copy attach:
-        the answers must still match the in-process reference."""
-        import warnings
-
-        with QueryService(store=backend, workers=1) as service:
-            instance_id = service.publish(serve_problem).instance_id
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                answers = service.execute(
-                    _all_kind_batch(instance_id))
-        with QueryService(store="ram") as reference:
-            ref_id = reference.publish(serve_problem).instance_id
-            expected = reference.execute(_all_kind_batch(ref_id))
-        assert answers == expected

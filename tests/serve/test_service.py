@@ -138,10 +138,6 @@ class TestErrorPaths:
         assert "out of range" in bad.message
         assert isinstance(good, BrknnResponse)
 
-    def test_workers_must_be_positive(self):
-        with pytest.raises(ValueError, match="workers"):
-            QueryService(workers=0)
-
 
 class TestRegistryLifecycle:
     def test_publish_retire_releases_store(self, serve_problem):
@@ -180,4 +176,3 @@ class TestCounters:
         counters = dict(box["counters"])  # filled when isolated() exits
         assert counters["serve_batches"] == 2
         assert counters["serve_requests"] == 3
-        assert counters.get("serve_pool_submissions", 0) == 0

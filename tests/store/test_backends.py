@@ -275,7 +275,8 @@ class TestWorkerDeath:
         owner = nlc_store.publish(_nlcs(), "shm")
         pool = PersistentPool(max_workers=1)
         try:
-            future = pool.submit_call(_attach_and_die, (owner.handle,))
+            future = pool.executor().submit(_attach_and_die,
+                                            (owner.handle,))
             with pytest.raises(BrokenProcessPool):
                 future.result(timeout=60)
         finally:
