@@ -13,7 +13,8 @@ once, then times batched request rounds against it through four arms:
 * ``socket_cold``    — a real ``repro serve --cache-bytes 0`` daemon
   subprocess on an ephemeral port, driven through the persistent
   :class:`~repro.serve.client.ServeClient` connection: JSON codec +
-  HTTP/1.1 keep-alive + batch scheduler, recomputing every round.
+  HTTP/1.1 keep-alive + the daemon's batch thread, recomputing every
+  round.
 * ``socket_warm``    — the same daemon shape with the default cache,
   prewarmed: what a deployment sees on repeated reads.
 

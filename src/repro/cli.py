@@ -168,8 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="NLC storage backend for published "
                             "instances (unset defers to REPRO_STORE, "
                             "then ram)")
-    serve.add_argument("--linger", type=float, default=0.005,
-                       help="batch-coalescing window in seconds")
     serve.add_argument("--cache-bytes", type=int, default=None,
                        metavar="BYTES",
                        help="result-cache byte budget (default 64 MiB; "
@@ -335,7 +333,7 @@ def _cmd_serve(args) -> int:
     if args.cache_bytes is not None:
         kwargs["cache_bytes"] = args.cache_bytes
     daemon = ServeDaemon(host=args.host, port=args.port,
-                         store=args.store, linger=args.linger, **kwargs)
+                         store=args.store, **kwargs)
     host, port = daemon.address
     # The smoke harness parses this line to find an ephemeral port, so
     # keep the format stable and flush before blocking.

@@ -14,16 +14,14 @@ copies per request.  Layers, bottom up:
   :class:`ServedInstance`, the publish step and per-instance shared
   state;
 * :mod:`~repro.serve.service` — :class:`QueryService`, in-process batch
-  execution fronted by the result cache;
-* :mod:`~repro.serve.batching` — :class:`BatchScheduler`, request
-  coalescing (single-flight per canonical key) for concurrent
-  front-end callers;
+  execution fronted by the result cache, which with the batch's own
+  dedup is the only single-flight;
 * :mod:`~repro.serve.daemon` / :mod:`~repro.serve.client` — the stdlib
   HTTP/1.1 keep-alive socket front end (``repro serve`` /
-  ``repro query``).
+  ``repro query``); the daemon runs each ``/query`` POST as one batch
+  on one executor thread.
 """
 
-from repro.serve.batching import BatchScheduler, Ticket
 from repro.serve.cache import ResultCache
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.daemon import ServeDaemon, problem_from_doc
@@ -43,7 +41,6 @@ from repro.serve.service import QueryService, execute_requests
 __all__ = [
     "REQUEST_KINDS",
     "AnytimeSolveRequest",
-    "BatchScheduler",
     "BrknnRequest",
     "BrknnResponse",
     "ErrorResponse",
@@ -63,7 +60,6 @@ __all__ = [
     "SiteInfluenceResponse",
     "SolveRequest",
     "SolveResponse",
-    "Ticket",
     "decode_request",
     "decode_response",
     "encode_request",

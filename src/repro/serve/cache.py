@@ -29,8 +29,8 @@ Design points:
   gauge (see docs/observability.md).
 
 Thread safety: one lock around every operation.  The critical sections
-are dict moves, far cheaper than any solve; the daemon's handler
-threads and the batch scheduler's flush thread share one instance.
+are dict moves, far cheaper than any solve; every thread that calls
+the service shares one instance.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
 """Stdlib HTTP front end for the query service.
 
-``ServeDaemon`` wraps a :class:`~repro.serve.service.QueryService` and a
-:class:`~repro.serve.batching.BatchScheduler` behind a
-``ThreadingHTTPServer`` (loopback by default; ``port=0`` binds an
-ephemeral port).  The surface is four JSON endpoints:
+``ServeDaemon`` wraps a :class:`~repro.serve.service.QueryService`
+behind a ``ThreadingHTTPServer`` (loopback by default; ``port=0`` binds
+an ephemeral port).  The surface is four JSON endpoints:
 
 =========================  ===========================================
 ``POST /publish``          publish an instance; body carries the
@@ -15,9 +14,8 @@ ephemeral port).  The surface is four JSON endpoints:
                            :mod:`repro.serve.protocol` request doc;
                            returns ``{"responses": [...]}``
                            positionally.  All requests of one POST
-                           enter the batch scheduler together, so they
-                           coalesce (with any concurrent callers') into
-                           shared service batches.
+                           run as one service batch, on the daemon's
+                           one executor thread.
 ``GET  /health``           liveness + published instance ids.
 ``GET  /metrics``          counters/gauges snapshot of the registry.
 ``POST /shutdown``         graceful stop.
@@ -30,15 +28,17 @@ malformed envelope (bad JSON, a negative or non-integer
 — a declared body above :data:`_MAX_BODY_BYTES` is a 413, refused
 before anything is read.
 Anything else a route raises — a batch that outlives
-``request_timeout``, a bug — is an HTTP 500 with the same envelope, so
-every request gets exactly one well-formed reply and the keep-alive
-connection survives.
+``request_timeout``, a batch that raises, a bug — is an HTTP 500 with
+the same envelope, so every request gets exactly one well-formed reply
+and the keep-alive connection survives.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
@@ -47,7 +47,6 @@ import numpy as np
 from repro.core.probability import ProbabilityModel
 from repro.core.problem import MaxBRkNNProblem
 from repro.obs import metrics as _obs_metrics
-from repro.serve.batching import BatchScheduler
 from repro.serve.cache import DEFAULT_CACHE_BYTES
 from repro.serve.protocol import decode_request, encode_response
 from repro.serve.service import QueryService
@@ -72,32 +71,42 @@ def problem_from_doc(doc: dict[str, Any]) -> MaxBRkNNProblem:
 
     ``probability`` may be omitted (uniform), one of the named models
     (``uniform``/``linear``/``harmonic``), a flat probability sequence,
-    or a per-customer list of sequences.
+    or a per-customer list of sequences.  A malformed body raises
+    ``ValueError`` and nothing else (the daemon's 400).
     """
     try:
         customers = doc["customers"]
         sites = doc["sites"]
         k = int(doc["k"])
+        probability: Any = doc.get("probability")
+        if isinstance(probability, str):
+            factory = _NAMED_MODELS.get(probability)
+            if factory is None:
+                raise ValueError(
+                    f"unknown probability model {probability!r} (choose "
+                    f"from {', '.join(sorted(_NAMED_MODELS))})")
+            if k > len(sites):
+                # The problem refuses this too, but only after the
+                # factory would have built a k-entry model.
+                raise ValueError(
+                    f"k={k} exceeds the number of service sites "
+                    f"({len(sites)})")
+            probability = factory(k)
+        elif (isinstance(probability, list) and probability
+              and isinstance(probability[0], list)):
+            probability = [ProbabilityModel.from_sequence(row)
+                           for row in probability]
+        weights = doc.get("weights")
+        if weights is not None:
+            weights = np.asarray(weights, dtype=np.float64)
+        return MaxBRkNNProblem(customers=customers, sites=sites, k=k,
+                               weights=weights, probability=probability)
     except KeyError as exc:
         raise ValueError(
             f"publish body is missing field {exc.args[0]!r}") from exc
-    probability: Any = doc.get("probability")
-    if isinstance(probability, str):
-        factory = _NAMED_MODELS.get(probability)
-        if factory is None:
-            raise ValueError(
-                f"unknown probability model {probability!r} (choose "
-                f"from {', '.join(sorted(_NAMED_MODELS))})")
-        probability = factory(k)
-    elif (isinstance(probability, list) and probability
-          and isinstance(probability[0], list)):
-        probability = [ProbabilityModel.from_sequence(row)
-                       for row in probability]
-    weights = doc.get("weights")
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-    return MaxBRkNNProblem(customers=customers, sites=sites, k=k,
-                           weights=weights, probability=probability)
+    except (TypeError, OverflowError) as exc:
+        # A field of the wrong JSON type, or an infinite/huge number.
+        raise ValueError(f"bad publish body: {exc}") from exc
 
 
 class _BodyTooLarge(ValueError):
@@ -194,9 +203,9 @@ class _Handler(BaseHTTPRequestHandler):
                     raise ValueError(
                         "query body needs a 'requests' list")
                 requests = [decode_request(d) for d in request_docs]
-                tickets = [daemon.scheduler.submit(r) for r in requests]
-                responses = [t.result(timeout=daemon.request_timeout)
-                             for t in tickets]
+                responses = daemon._executor.submit(
+                    QueryService.execute, daemon.service, requests
+                ).result(timeout=daemon.request_timeout)
                 self._send_json(200, {
                     "responses": [encode_response(r)
                                   for r in responses]})
@@ -212,7 +221,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(400, {"error": str(exc)})
         except Exception as exc:
             # The request boundary: whatever else a route raised (a
-            # Ticket.result TimeoutError, a bug) still ends in one
+            # batch TimeoutError or failure, a bug) still ends in one
             # well-formed reply instead of a dead handler thread and a
             # reset keep-alive connection.
             _LOG.exception("serve: POST %s failed", self.path)
@@ -222,18 +231,21 @@ class _Handler(BaseHTTPRequestHandler):
 class ServeDaemon:
     """The persistent server process body (``repro serve`` runs one).
 
-    Composes service + scheduler + HTTP server; ``serve_forever()``
-    blocks until a ``/shutdown`` POST (or :meth:`request_shutdown`),
-    then tears everything down — scheduler first (flushing), then the
-    service (published stores).
+    Composes service + HTTP server + one executor thread: each
+    ``/query`` POST runs as one :meth:`QueryService.execute` batch on
+    that thread, so batches run one at a time, off the handler threads,
+    and an identical miss queued behind a running one is a cache hit.
+    ``serve_forever()`` blocks until a ``/shutdown`` POST (or
+    :meth:`request_shutdown`), then tears everything down.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
-                 store: str | None = None, linger: float = 0.005,
+                 store: str | None = None,
                  request_timeout: float = 300.0,
                  cache_bytes: int = DEFAULT_CACHE_BYTES) -> None:
         self.service = QueryService(store=store, cache_bytes=cache_bytes)
-        self.scheduler = BatchScheduler(self.service, linger=linger)
+        self._executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="serve-batch")
         self.request_timeout = float(request_timeout)
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.daemon = self  # type: ignore[attr-defined]
@@ -247,21 +259,19 @@ class ServeDaemon:
 
     def request_shutdown(self) -> None:
         """Ask ``serve_forever`` to return (safe from handler threads)."""
-        import threading
-
         threading.Thread(target=self._httpd.shutdown,
                          daemon=True).start()
 
     def serve_forever(self) -> None:
         """Run until shutdown; always releases service resources."""
-        self.scheduler.start()
         try:
             self._httpd.serve_forever(poll_interval=0.05)
         finally:
             self.close()
 
     def close(self) -> None:
-        """Tear down HTTP server, scheduler, and service (idempotent)."""
+        """Tear down the HTTP server, then the executor once its queued
+        batches have run, then the service (idempotent)."""
         self._httpd.server_close()
-        self.scheduler.stop()
+        self._executor.shutdown(wait=True)
         self.service.close()

@@ -27,8 +27,8 @@ sorted keys and no whitespace.  Because the codec already canonicalises
 every field (``int()``/``float()``) and ``json`` emits shortest-
 round-trip float reprs, two requests get the same key exactly when they
 are field-for-field bit-identical — the property the serve-path result
-cache (:mod:`repro.serve.cache`) and the batch scheduler's
-single-flight coalescing both rely on.
+cache (:mod:`repro.serve.cache`) and the service's in-batch dedup both
+rely on.
 
 The wire format is deliberately dumb JSON: every request/response is a
 flat object with a ``kind`` tag, encoded by :func:`encode_request` /
@@ -299,9 +299,13 @@ def request_key(request: Request) -> str:
 
 
 def decode_request(doc: Mapping[str, Any]) -> Request:
-    """JSON dict → request dataclass; raises ``ValueError`` on bad input."""
+    """JSON value → request dataclass; raises ``ValueError`` (and only
+    that) on anything but a well-formed request doc."""
+    if not isinstance(doc, Mapping):
+        raise ValueError(
+            f"a request must be a JSON object, not {type(doc).__name__}")
     kind = doc.get("kind")
-    cls = _REQUEST_TYPES.get(kind)  # type: ignore[arg-type]
+    cls = _REQUEST_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(
             f"unknown request kind {kind!r} "
@@ -334,7 +338,8 @@ def decode_request(doc: Mapping[str, Any]) -> Request:
     except KeyError as exc:
         raise ValueError(
             f"{kind} request is missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: int() of an infinity, float() of a huge int.
         raise ValueError(f"bad {kind} request field: {exc}") from exc
 
 

@@ -178,9 +178,9 @@ def main(argv: list[str] | None = None) -> int:
             metrics = client.metrics()
             counters = metrics["counters"]
             served = counters.get("serve_requests", 0)
-            # The scheduler single-flights duplicate keys inside a
-            # flush, so the daemon logs at least the unique keys of
-            # each pass (and at most every submitted request).
+            # Every request of a POST counts on arrival, duplicates
+            # and cache hits included, so each pass logs at least its
+            # unique keys.
             unique = sum(len({request_key(r) for r in batch})
                          for batch in batches)
             assert served >= 2 * unique, (served, unique)

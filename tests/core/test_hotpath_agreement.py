@@ -8,6 +8,8 @@ paper-literal R-tree backend.  These pin the perf work of
 bench_phase1_hotpath.py to the seed semantics.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -38,12 +40,13 @@ class TestHotpathAgreement:
                                               "clustered"])
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_batched_equals_legacy(self, distribution, k):
-        nlcs = build(seed=hash((distribution, k)) % 2**31,
-                     distribution=distribution, k=k)
+        # crc32, not hash(): str hashes are salted per process.
+        seed = zlib.crc32(repr((distribution, k)).encode())
+        nlcs = build(seed=seed, distribution=distribution, k=k)
         batched = MaxFirst(hotpath="batched").solve_nlcs(nlcs)
         legacy = MaxFirst(hotpath="legacy").solve_nlcs(nlcs)
-        assert batched.score == legacy.score
-        assert stats_dict(batched) == stats_dict(legacy)
+        assert batched.score == legacy.score, f"seed={seed}"
+        assert stats_dict(batched) == stats_dict(legacy), f"seed={seed}"
 
     @pytest.mark.parametrize("seed", range(6))
     def test_batched_equals_legacy_random(self, seed):
@@ -71,11 +74,11 @@ class TestBackendAgreement:
     @pytest.mark.parametrize("distribution", ["uniform", "normal",
                                               "clustered"])
     def test_vector_equals_rtree(self, distribution):
-        nlcs = build(seed=hash(("backend", distribution)) % 2**31,
-                     distribution=distribution)
+        seed = zlib.crc32(repr(("backend", distribution)).encode())
+        nlcs = build(seed=seed, distribution=distribution)
         vector = MaxFirst(backend="vector").solve_nlcs(nlcs)
         rtree = MaxFirst(backend="rtree").solve_nlcs(nlcs)
-        assert vector.score == rtree.score
+        assert vector.score == rtree.score, f"seed={seed}"
 
     @pytest.mark.parametrize("seed", range(4))
     def test_vector_equals_rtree_random_k2(self, seed):

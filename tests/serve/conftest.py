@@ -2,10 +2,27 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import strategies as st
 
 from repro.core.problem import MaxBRkNNProblem
 from repro.datasets.synthetic import synthetic_instance
+
+#: A JSON number, weighted towards the ones ``int()``/``float()``
+#: refuse: infinities, NaN and integers too large for a float.
+NUMBER = (st.sampled_from([math.inf, -math.inf, math.nan, 10 ** 400])
+          | st.floats()
+          | st.integers(min_value=-10 ** 400, max_value=10 ** 400))
+
+#: Any JSON value: what ``json.loads`` can hand a decoder.
+JSON = st.recursive(
+    st.none() | st.booleans() | NUMBER | st.text(max_size=8),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=4), children,
+                                        max_size=3)),
+    max_leaves=8)
 
 
 @pytest.fixture(scope="module")

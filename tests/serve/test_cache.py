@@ -1,20 +1,17 @@
-"""Serve-path result cache and single-flight coalescing.
+"""Serve-path result cache.
 
 Pins the tentpole invariants: a cache hit is **byte-identical** to the
 fresh solve it replaced (on every storage backend; CI runs this file
 under both kernel arms, with and without ``REPRO_NO_CKERNEL=1``), the
-LRU evicts under byte pressure, an epoch bump invalidates every entry
-of the instance, and the batch scheduler single-flights identical
-requests submitted concurrently.
+LRU evicts under byte pressure, and an epoch bump invalidates every
+entry of the instance.
 """
 
 import json
-import threading
 
 import pytest
 
 from repro.obs import metrics as _obs_metrics
-from repro.serve.batching import BatchScheduler
 from repro.serve.cache import ResultCache
 from repro.serve.protocol import (AnytimeSolveRequest, BrknnRequest,
                                   BrknnResponse, ErrorResponse,
@@ -170,59 +167,3 @@ class TestEpochInvalidation:
         assert cache.get("a", "k", 0) is None
         assert cache.get("b", "k", 0) is not None
 
-
-class TestSingleFlight:
-    def test_concurrent_identical_submitters_share_one_execution(
-            self, serve_problem):
-        # Cache disabled so the proof is the scheduler's dedup, not a
-        # cache hit on the second arrival.
-        with QueryService(store="ram", cache_bytes=0) as service:
-            instance_id = service.publish(serve_problem).instance_id
-            scheduler = BatchScheduler(service, linger=0.0)
-            tickets = []
-
-            def submit():
-                tickets.append(
-                    scheduler.submit(SolveRequest(instance_id)))
-
-            threads = [threading.Thread(target=submit)
-                       for _ in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            with _obs_metrics.REGISTRY.isolated() as box:
-                assert scheduler.flush() == 8
-            results = [t.result(timeout=30.0) for t in tickets]
-        counters = dict(box["counters"])
-        assert counters["serve_requests"] == 1   # one reached execute
-        assert counters["serve_batches"] == 1
-        first = results[0]
-        assert all(r is first for r in results)  # one shared response
-
-    def test_distinct_keys_survive_coalescing(self, serve_problem):
-        with QueryService(store="ram", cache_bytes=0) as service:
-            instance_id = service.publish(serve_problem).instance_id
-            scheduler = BatchScheduler(service, linger=0.0)
-            tickets = [scheduler.submit(r) for r in (
-                BrknnRequest(instance_id, 0),
-                BrknnRequest(instance_id, 0),
-                BrknnRequest(instance_id, 3),
-            )]
-            with _obs_metrics.REGISTRY.isolated() as box:
-                scheduler.flush()
-            first, duplicate, other = [t.result(timeout=30.0)
-                                       for t in tickets]
-        assert dict(box["counters"])["serve_requests"] == 2
-        assert duplicate is first
-        assert isinstance(other, BrknnResponse)
-        assert other.site != first.site
-
-    def test_batch_failure_resolves_every_ticket(self, serve_problem):
-        with QueryService(store="ram") as service:
-            service.publish(serve_problem)
-            scheduler = BatchScheduler(service, linger=0.0)
-            ticket = scheduler.submit(object())   # not a Request
-            scheduler.flush()
-            response = ticket.result(timeout=30.0)
-        assert isinstance(response, ErrorResponse)

@@ -1,26 +1,34 @@
 """HTTP daemon + client: in-process server thread, real sockets."""
 
 import json
+import sys
 import threading
+import time
 from http.client import HTTPConnection
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.probability import ProbabilityModel
+from repro.core.problem import MaxBRkNNProblem
 from repro.core.queries import brknn_of_site, impact_of_new_site
+from repro.serve import daemon as daemon_module
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.daemon import ServeDaemon, problem_from_doc
 from repro.serve.protocol import (BrknnRequest, BrknnResponse,
                                   ErrorResponse, ImpactRequest,
                                   ImpactResponse, SolveRequest,
                                   SolveResponse)
+from repro.serve.service import QueryService
+from tests.serve.conftest import JSON
 
 
 @pytest.fixture()
 def daemon():
     """A live daemon on an ephemeral loopback port, torn down after."""
-    daemon = ServeDaemon(port=0, store="ram", linger=0.0)
+    daemon = ServeDaemon(port=0, store="ram")
     thread = threading.Thread(target=daemon.serve_forever, daemon=True)
     thread.start()
     try:
@@ -35,6 +43,15 @@ def _publish_body(serve_problem):
     return {"customers": serve_problem.customers.tolist(),
             "sites": serve_problem.sites.tolist(),
             "k": serve_problem.k}
+
+
+def _post(conn, path, body: bytes):
+    """One POST on a kept connection: ``(status, doc, Connection)``."""
+    conn.request("POST", path, body=body,
+                 headers={"Content-Type": "application/json"})
+    response = conn.getresponse()
+    doc = json.loads(response.read())
+    return response.status, doc, response.getheader("Connection")
 
 
 class TestEndToEnd:
@@ -105,6 +122,28 @@ class TestEnvelopeErrors:
                                 {"requests": [{"kind": "frobnicate",
                                                "instance": "i"}]})
 
+    def test_malformed_request_docs_are_400_on_a_kept_connection(
+            self, daemon):
+        """A request doc that is not an object, or a field no int can
+        hold, is the client's fault: 400, and the connection stays."""
+        host, port = daemon.address
+        conn = HTTPConnection(host, port, timeout=10.0)
+        try:
+            status, doc, header = _post(conn, "/query",
+                                        b'{"requests": [1]}')
+            assert (status, header) == (400, None), doc
+            assert "JSON object" in doc["error"]
+            sock = conn.sock
+            status, doc, header = _post(
+                conn, "/query",
+                b'{"requests": [{"kind": "brknn", "instance": "i", '
+                b'"site": Infinity}]}')
+            assert (status, header) == (400, None), doc
+            assert "bad brknn request field" in doc["error"]
+            assert conn.sock is sock  # no reconnect needed
+        finally:
+            conn.close()
+
 
 class TestFailClosed:
     @pytest.mark.parametrize("length", ["-1", "12abc"])
@@ -148,19 +187,18 @@ class TestFailClosed:
             assert client.health()["status"] == "ok"
 
     def test_batch_timeout_is_500_and_keeps_the_connection(
-            self, daemon, serve_problem):
+            self, daemon, serve_problem, monkeypatch):
         host, port = daemon.address
         release = threading.Event()
-        service = daemon.scheduler.service
-        execute = service.execute
+        execute = QueryService.execute
 
-        def stalled_execute(requests):
+        def stalled_execute(service, requests):
             release.wait(10.0)
-            return execute(requests)
+            return execute(service, requests)
 
         with ServeClient(host, port) as client:
             instance_id = client.publish(_publish_body(serve_problem))
-            service.execute = stalled_execute
+            monkeypatch.setattr(QueryService, "execute", stalled_execute)
             daemon.request_timeout = 0.05
             try:
                 with pytest.raises(ServeError, match="TimeoutError"):
@@ -170,6 +208,113 @@ class TestFailClosed:
                 assert client._conn is conn  # no reconnect needed
             finally:
                 release.set()
+
+    def test_batch_failure_is_one_500_and_keeps_the_connection(
+            self, daemon, serve_problem, monkeypatch):
+        """A batch that raises is the server's fault: one 500 envelope
+        for the POST, not a 200 of per-request error docs."""
+        host, port = daemon.address
+
+        def failing_execute(service, requests):
+            raise RuntimeError("service down")
+
+        with ServeClient(host, port) as client:
+            instance_id = client.publish(_publish_body(serve_problem))
+        monkeypatch.setattr(QueryService, "execute", failing_execute)
+        body = json.dumps({"requests": [
+            {"kind": "brknn", "instance": instance_id, "site": site}
+            for site in (0, 1)]}).encode()
+        conn = HTTPConnection(host, port, timeout=10.0)
+        try:
+            status, doc, header = _post(conn, "/query", body)
+            assert (status, header) == (500, None), doc
+            assert doc == {"error": "RuntimeError: service down"}
+            sock = conn.sock
+            conn.request("GET", "/health")
+            assert conn.getresponse().status == 200
+            assert conn.sock is sock  # no reconnect needed
+        finally:
+            conn.close()
+
+
+class TestBatchThread:
+    def test_identical_concurrent_misses_solve_once(self, daemon,
+                                                    serve_problem):
+        """Eight callers POST the same solve at once.  Batches run one
+        at a time, so the first is the only miss and every later one
+        is answered by the cache the first filled."""
+        host, port = daemon.address
+        with ServeClient(host, port) as client:
+            instance_id = client.publish(_publish_body(serve_problem))
+            before = client.metrics()["counters"]
+        barrier = threading.Barrier(8)
+        answers = [None] * 8
+
+        def post(slot):
+            with ServeClient(host, port) as client:
+                barrier.wait(10.0)
+                (answers[slot],) = client.query([SolveRequest(instance_id)])
+
+        threads = [threading.Thread(target=post, args=(slot,))
+                   for slot in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)   # more interleavings per run
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        with ServeClient(host, port) as client:
+            after = client.metrics()["counters"]
+        delta = {name: after.get(name, 0) - before.get(name, 0)
+                 for name in ("serve_cache_misses", "serve_cache_hits")}
+        assert delta == {"serve_cache_misses": 1, "serve_cache_hits": 7}
+        assert isinstance(answers[0], SolveResponse)
+        assert all(answer == answers[0] for answer in answers)
+
+    def test_shutdown_drains_a_running_batch(self, daemon, serve_problem,
+                                             monkeypatch):
+        """A query whose batch is still running when ``/shutdown``
+        arrives gets its answer: close() waits for the batch thread
+        before it releases the service."""
+        host, port = daemon.address
+        listener = daemon._httpd.socket
+        running = threading.Event()
+        execute = QueryService.execute
+
+        def held_execute(service, requests):
+            running.set()
+            # Hold the batch until close() has closed the listener, so
+            # only the executor's drain can let it finish.
+            deadline = time.monotonic() + 10.0
+            while listener.fileno() != -1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return execute(service, requests)
+
+        with ServeClient(host, port) as client:
+            instance_id = client.publish(_publish_body(serve_problem))
+        monkeypatch.setattr(QueryService, "execute", held_execute)
+        answers = []
+
+        def post():
+            with ServeClient(host, port) as client:
+                answers.extend(client.query([BrknnRequest(instance_id, 4)]))
+
+        thread = threading.Thread(target=post)
+        thread.start()
+        assert running.wait(10.0)
+        with ServeClient(host, port) as client:
+            client.shutdown()
+        thread.join(30.0)
+        assert not thread.is_alive()
+        assert listener.fileno() == -1
+        (answer,) = answers
+        assert isinstance(answer, BrknnResponse)
+        assert answer.members == dict(brknn_of_site(serve_problem,
+                                                    4).members)
 
 
 class TestProblemFromDoc:
@@ -204,3 +349,37 @@ class TestProblemFromDoc:
             problem_from_doc({
                 "customers": self.CUSTOMERS, "sites": self.SITES,
                 "k": 1, "probability": "zipf"})
+
+    def test_k_above_the_sites_builds_no_named_model(self, monkeypatch):
+        """A named model has k entries: a k no site count can meet is
+        refused before one is built, not after (k=10**12 would be a
+        tuple of 10**12 floats)."""
+        built = []
+        monkeypatch.setitem(daemon_module._NAMED_MODELS, "uniform",
+                            lambda k: built.append(k)
+                            or ProbabilityModel.uniform(1))
+        with pytest.raises(ValueError, match="exceeds"):
+            problem_from_doc({
+                "customers": self.CUSTOMERS, "sites": self.SITES,
+                "k": 10 ** 12, "probability": "uniform"})
+        assert built == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=JSON | st.integers(min_value=-2, max_value=3),
+           probability=(JSON | st.none()
+                        | st.sampled_from(["uniform", "linear",
+                                           "harmonic"])),
+           weights=(JSON | st.none()
+                    | st.lists(JSON, min_size=3, max_size=3)))
+    def test_malformed_fields_raise_only_value_error(self, k, probability,
+                                                     weights):
+        """Whatever JSON the body carries in ``k``, ``probability`` and
+        ``weights``, the daemon's decoder builds a problem or raises
+        ``ValueError`` (a 400), never another exception (a 500)."""
+        doc = {"customers": self.CUSTOMERS, "sites": self.SITES,
+               "k": k, "probability": probability, "weights": weights}
+        try:
+            problem = problem_from_doc(doc)
+        except ValueError:
+            return
+        assert isinstance(problem, MaxBRkNNProblem)

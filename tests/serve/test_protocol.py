@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve.protocol import (REQUEST_KINDS, AnytimeSolveRequest,
                                   BrknnRequest, BrknnResponse,
@@ -13,7 +15,8 @@ from repro.serve.protocol import (REQUEST_KINDS, AnytimeSolveRequest,
                                   SiteInfluenceResponse, SolveRequest,
                                   SolveResponse, decode_request,
                                   decode_response, encode_request,
-                                  encode_response)
+                                  encode_response, request_key)
+from tests.serve.conftest import JSON, NUMBER
 
 # Awkward floats on purpose: shortest-repr JSON round trips must keep
 # every one of them bit-identical.
@@ -100,3 +103,33 @@ class TestDecodeErrors:
             encode_request(object())
         with pytest.raises(TypeError):
             encode_response(object())
+
+
+#: Every field any request kind reads.
+FIELDS = ("site", "x", "y", "top_t", "epsilon", "nx", "ny")
+
+
+def _decodes_or_value_error(doc) -> None:
+    """Decode ``doc``: only ``ValueError`` (the daemon's 400) may
+    escape, and whatever decodes has a canonical key, as the service
+    keys every request it executes."""
+    try:
+        request = decode_request(doc)
+    except ValueError:
+        return
+    request_key(request)
+
+
+class TestDecodeFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=JSON)
+    def test_any_json_value(self, doc):
+        _decodes_or_value_error(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=st.fixed_dictionaries(
+        {"kind": st.sampled_from(REQUEST_KINDS),
+         "instance": st.text(min_size=1, max_size=4) | JSON},
+        optional={name: NUMBER | JSON for name in FIELDS}))
+    def test_every_kind_with_any_field_values(self, doc):
+        _decodes_or_value_error(doc)
