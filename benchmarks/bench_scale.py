@@ -5,10 +5,11 @@ tier"): build ten million NLCs straight into a ``memmap`` store with
 :func:`repro.core.nlc.stream_nlc_chunks` — the full coordinate, weight
 and SoA arrays never materialise — then solve the instance with
 :func:`repro.engine.outofcore.solve_streamed`, which chunk-scans the
-file for planning and attaches one tile window at a time.  The process
-peak RSS is asserted **below the in-RAM SoA footprint of the instance**
-(``6 fields x 8 bytes x 10M rows = 480,000,000 bytes``): the solve
-provably never held its own input in memory.
+file for planning and searches one tile's halo at a time, gathered out
+of its row window.  The process peak RSS is asserted **below the
+in-RAM SoA footprint of the instance** (``6 fields x 8 bytes x 10M
+rows = 480,000,000 bytes``): the solve provably never held its own
+input in memory.
 
 Instance design: customers stream x-sorted through
 :func:`~repro.datasets.synthetic.striped_uniform_chunks` (so tile row
@@ -64,8 +65,9 @@ FULL = dict(n_customers=10_000_000, n_sites=1024, strips=1024, shards=64)
 TINY = dict(n_customers=200_000, n_sites=256, strips=256, shards=16)
 
 #: The planner's spans (``plan_streamed``): the bounding-box scan, the
-#: grid-binned halo pass that yields the row windows, and the
-#: seed-bound classification of the tiles some disk contains.
+#: grid-binned halo pass that yields the tiles' halo bitmaps and row
+#: windows, and the seed-bound classification of the tiles some disk
+#: contains.
 PLAN_LAYERS = ("stream/scan_bbox", "stream/scan_windows",
                "stream/seed_bound")
 #: Share of ``solve_timings.plan`` the three layers must account for.

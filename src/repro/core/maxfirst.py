@@ -124,13 +124,13 @@ class _FoundCovers:
         a tied region inside such a quadrant must equal the seeded
         region, which the merge step already reports.
 
-        A search running over a row *slice* of the store passes
-        ``members``: the subset of ``cover`` that falls inside its
-        window (the rest of the cover shifts out of range and cannot be
-        masked).  ``cover`` itself keeps every member, so the dedupe
-        key, the cardinality early exit, and the score-sum margin are
-        those of the full cover — any ``Q.I`` of this search lies
-        wholly inside the window, making the membership test over
+        A search running over a *subset* of the store (a tile's halo)
+        passes ``members``: the positions of the cover's disks inside
+        that subset (the rest cannot be masked; ``cover`` names them by
+        distinct negative keys).  ``cover`` itself keeps every member,
+        so the dedupe key, the cardinality early exit, and the score-sum
+        margin are those of the full cover — any ``Q.I`` of this search
+        lies wholly inside the subset, making the membership test over
         ``members`` equivalent to the full-set test, bit for bit.
         """
         if cover in self._keys:
@@ -401,6 +401,7 @@ class MaxFirst:
                    seed_covers: Iterable[tuple[tuple[int, ...], float]]
                    | None = None,
                    roots: "Sequence[tuple[Rect, np.ndarray]] | None" = None,
+                   scores_nonneg: bool | None = None,
                    tessellation: "list[tuple[Rect, float, float]] | None"
                    = None
                    ) -> tuple[list[Quadrant], float, MaxFirstStats]:
@@ -429,8 +430,9 @@ class MaxFirst:
         seed_covers:
             ``(cover, score_sum)`` pairs of regions other shards already
             accepted (sorted NLC indices plus their ``m̂in`` sum); a
-            slice-attached caller appends a third ``members`` element
-            per entry (see :meth:`_FoundCovers.add`).
+            caller searching a subset of the set (a tile's halo) appends
+            a third ``members`` element per entry (see
+            :meth:`_FoundCovers.add`).
             They enter the Theorem 3 registry before the first pop, so
             this search never re-tessellates a region an earlier tile
             discovered — the main cost of naive tile sharding.  Only
@@ -449,6 +451,12 @@ class MaxFirst:
             coverage) and each candidate set must contain every NLC that
             can influence classification inside its rect (the planner's
             halo invariant).  Only sound with ``top_t == 1``.
+        scores_nonneg:
+            Whether every score a seed cover can name is non-negative —
+            the premise of the Theorem 3 score-sum early exit.  Defaults
+            to ``nlcs``' own scores; a search over a subset of a larger
+            set (a tile's halo, whose seed covers name any store row)
+            passes the whole set's flag.
         tessellation:
             Optional sink list.  When given, every quadrant the search
             *finishes* — accepted, Theorem-2/3-pruned,
@@ -468,7 +476,8 @@ class MaxFirst:
                 nlcs, space, backend=backend, resolution=resolution,
                 initial_bound=initial_bound, bound_sync=bound_sync,
                 sync_interval=sync_interval, seed_covers=seed_covers,
-                roots=roots, tessellation=tessellation)
+                roots=roots, scores_nonneg=scores_nonneg,
+                tessellation=tessellation)
         return accepted, max_min, stats.freeze()
 
     def _phase1(self, nlcs: CircleSet, space: Rect, *,
@@ -480,6 +489,7 @@ class MaxFirst:
                 seed_covers: Iterable[tuple[tuple[int, ...], float]]
                 | None = None,
                 roots: "Sequence[tuple[Rect, np.ndarray]] | None" = None,
+                scores_nonneg: bool | None = None,
                 tessellation: "list[tuple[Rect, float, float]] | None"
                 = None
                 ) -> tuple[list[Quadrant], float, _MutableStats]:
@@ -514,13 +524,14 @@ class MaxFirst:
         frontier: list[float] = []
         accepted: list[Quadrant] = []
         batched = self.hotpath == "batched"
-        found_covers = _FoundCovers(
-            len(nlcs), use_arrays=batched,
-            scores_nonneg=bool(len(nlcs))
-            and bool((nlcs.scores >= 0.0).all()))
+        if scores_nonneg is None:
+            scores_nonneg = (bool(len(nlcs))
+                             and bool((nlcs.scores >= 0.0).all()))
+        found_covers = _FoundCovers(len(nlcs), use_arrays=batched,
+                                    scores_nonneg=scores_nonneg)
         if seed_covers is not None:
             # 2-tuples ``(cover, score_sum)`` from whole-set callers;
-            # slice-attached workers add a third ``members`` element
+            # tile searches over a halo add a third ``members`` element
             # (see :meth:`_FoundCovers.add`).
             for entry in seed_covers:
                 found_covers.add(*entry)

@@ -46,6 +46,9 @@ class ProbabilityModel:
     def __post_init__(self) -> None:
         if not self.probs:
             raise ValueError("probability model must have at least one entry")
+        # NaN would pass every comparison below (each one is False).
+        if not all(math.isfinite(p) for p in self.probs):
+            raise ValueError(f"non-finite probability in {self.probs}")
         if any(p < 0.0 for p in self.probs):
             raise ValueError(f"negative probability in {self.probs}")
         total = math.fsum(self.probs)

@@ -18,6 +18,7 @@ site's influence is ``sum over customers of w(o) * prob_rank(o)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,10 +134,14 @@ def impact_of_new_site(problem: MaxBRkNNProblem, x: float, y: float,
     semantics): the newcomer takes rank ``i`` for a customer when it is
     strictly closer than the current ``i``-th site; exact ties leave the
     incumbent in place.  ``ranks`` optionally reuses a precomputed
-    :func:`knn_sites` matrix.
+    :func:`knn_sites` matrix.  Raises ``ValueError`` unless ``x`` and
+    ``y`` are finite: a NaN place compares false against every distance
+    and would rank first for every customer.
     """
     x = float(x)
     y = float(y)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"new site ({x!r}, {y!r}) must be finite")
     if ranks is None:
         ranks = knn_sites(problem)
     customers = problem.customers

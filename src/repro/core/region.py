@@ -90,14 +90,16 @@ class OptimalRegion:
 
 
 def found_regions(accepted: Iterable[Quadrant],
-                  offset: int = 0) -> list[FoundRegion]:
+                  rows: np.ndarray | None = None) -> list[FoundRegion]:
     """The found regions of accepted quadrants, in acceptance order.
 
-    ``offset`` shifts the covers of a search run over a row window
-    ``[offset, hi)`` of the store into whole-set rows.
+    ``rows`` maps the covers of a search run over a subset of the store
+    (a tile's halo: ``rows[i]`` is the store row of its disk ``i``,
+    ascending) into whole-set rows.
     """
-    return [(tuple((quad.containing + offset).tolist()), quad.min_hat,
-             quad.rect) for quad in accepted]
+    return [(tuple((quad.containing if rows is None
+                    else rows[quad.containing]).tolist()),
+             quad.min_hat, quad.rect) for quad in accepted]
 
 
 def select_found(found: Iterable[FoundRegion],

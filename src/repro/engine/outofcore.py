@@ -8,9 +8,11 @@ set.  Tile halos come from one grid-binned pass (:func:`_halo_pairs`):
 each disk's bounding box is binned against the grid's cut lines with
 ``searchsorted``, and the exact open-disk test runs only on the
 (row, cell) pairs the binning yields, so a plan costs O(rows + halo
-pairs) rather than O(rows x tiles).  Each tile is solved by
-:func:`run_tile` over its own row window
-(:func:`repro.store.attach_slice`): in-process, in tile order, by
+pairs) rather than O(rows x tiles).  The plan keeps each tile's halo
+as a bitmap over its row window, window/8 bytes.  Each tile is solved
+by :func:`run_tile` over just its halo: it attaches the tile's row
+window (:func:`repro.store.attach_slice`), gathers the halo rows into
+a compact set and searches that — in-process, in tile order, by
 :func:`run_tiles` (``solve_streamed`` and ``ShardedMaxFirst``'s
 ``mode="tiles"``), or in a pool worker by
 :func:`repro.engine.pool.solve_tile`.  Each tile reports its found
@@ -28,18 +30,25 @@ widens every bounding box by a relative slack larger than any rounding
 in its arithmetic, so it can only add pairs, and the pairs it keeps
 pass :meth:`~repro.index.circleset.CircleSet.rects_intersecting`'s
 arithmetic verbatim: each tile's halo, hence its row window and
-candidate count, equals the full-set predicate's.  Each window covers
-*every* disk intersecting its tile, so slice-local classification sums
-the same scores in the same ascending row order as a full-set run; seed
-covers translated by :func:`_slice_seeds` prune exactly as they would
-over the full set; and the per-tile seed bound is the tile root's
-``m̂in`` over its own window, equal to a full-set classification of
-that root — a tile no disk contains has an empty containing set and a
-root ``m̂in`` of exactly 0.0, so only contained tiles are classified.
-Scores, regions and merged Phase I stats are therefore identical to an
-unsharded solve's scores and regions, and identical across the
-in-process and one-worker-pool schedules down to the merged work
-counters (asserted by ``tests/engine``).
+candidate count, equals the full-set predicate's.  The halo holds
+*every* disk intersecting its tile, in ascending row order, so a search
+over the gathered halo classifies every quadrant of the tile with the
+same disks, summing the same scores in the same order, as a full-set
+run.  Seed covers translated onto halo positions by
+:func:`_halo_seeds` prune exactly as they would over the full set:
+their sizes and score sums stay the full covers', and the score-sum
+exit reads the whole store's score signs
+(:attr:`StreamPlan.scores_nonneg`), not the halo's.  The per-tile seed
+bound is the tile root's ``m̂in`` over its halo, equal to a full-set
+classification of that root — a tile no disk contains has an empty
+containing set and a root ``m̂in`` of exactly 0.0, so only contained
+tiles are classified.  Scores, regions and merged Phase I stats are
+therefore identical to an unsharded solve's scores and regions, and
+identical across the in-process and one-worker-pool schedules down to
+the merged work counters (asserted by ``tests/engine``).  The one
+count that follows the halo instead of the whole set is MaxFirst's
+default iteration guard, ``400 * len(nlcs) + 200_000``, which each tile
+search sizes by its halo rows.
 """
 
 from __future__ import annotations
@@ -64,8 +73,7 @@ from repro.obs import metrics as _obs_metrics
 from repro.obs.trace import span
 from repro.store.base import StoreHandle
 
-__all__ = ["StreamPlan", "grid_halos", "plan_streamed", "solve_streamed",
-           "tile_grid"]
+__all__ = ["StreamPlan", "plan_streamed", "solve_streamed", "tile_grid"]
 
 #: Deterministic work counters of the sharding layer itself: tiles run
 #: and halo rows assigned, recorded in the parent process so every
@@ -254,39 +262,20 @@ def _halo_pairs(circles: CircleSet, xs: np.ndarray, ys: np.ndarray,
             yield rows[hit], (iy * nx + ix)[hit], contained[hit]
 
 
-def grid_halos(circles: CircleSet, space: Rect,
-               shards: int) -> list[np.ndarray]:
-    """Per-tile halo rows of ``tile_grid(space, shards)``, in grid order.
-
-    Element-wise equal to ``circles.rects_intersecting(tile_grid(space,
-    shards))`` — sorted ``int64`` rows of the disks whose interior
-    meets each tile — at O(rows + halo pairs) instead of O(rows x
-    tiles).
-    """
-    xs, ys = _grid_cuts(space, shards)
-    n_cells = (xs.shape[0] - 1) * (ys.shape[0] - 1)
-    blocks = [(rows, cells)
-              for rows, cells, _ in _halo_pairs(circles, xs, ys, 0.0)]
-    if not blocks:
-        return [np.zeros(0, dtype=np.int64) for _ in range(n_cells)]
-    rows = np.concatenate([rows for rows, _ in blocks])
-    cells = np.concatenate([cells for _, cells in blocks])
-    # A stable sort by cell keeps each cell's rows ascending.
-    order = np.argsort(cells, kind="stable")
-    bounds = np.cumsum(np.bincount(cells, minlength=n_cells))[:-1]
-    return np.split(rows[order], bounds)
-
-
 @dataclass(frozen=True)
 class StreamPlan:
     """The tile layout of one sharded solve.
 
-    ``tiles``, ``windows`` and ``candidate_counts`` are parallel:
-    tile ``i`` is solved over the store rows ``windows[i] = (lo, hi)``,
-    of which ``candidate_counts[i]`` actually intersect the tile.
-    Tiles no disk reaches are dropped at planning time.  ``rows`` is
-    the length of the store the plan was made over; a plan only fits a
-    store of that length.
+    ``tiles``, ``windows``, ``halos`` and ``candidate_counts`` are
+    parallel.  Tile ``i``'s halo — the store rows whose disks meet it —
+    lies in the row window ``windows[i] = (lo, hi)``, and ``halos[i]``
+    is its packed bitmap over that window: bit ``j`` (byte ``j // 8``,
+    little-endian within the byte) is set when row ``lo + j`` meets the
+    tile, ``candidate_counts[i]`` bits in all, and rows ``lo`` and
+    ``hi - 1`` are members.  :meth:`halo_rows` decodes it.  Tiles no
+    disk reaches are dropped at planning time.  ``rows`` is the length
+    of the store the plan was made over; a plan only fits a store of
+    that length.
     """
 
     rows: int
@@ -294,7 +283,12 @@ class StreamPlan:
     resolution: float
     tiles: tuple[Rect, ...]
     windows: tuple[tuple[int, int], ...]
+    halos: tuple[bytes, ...]
     candidate_counts: tuple[int, ...]
+    #: Whether every score in the store is non-negative: a tile search
+    #: reads it for its Theorem 3 score-sum exit in place of its own
+    #: halo's flag, because its seed covers can name any store row.
+    scores_nonneg: bool
     #: Proven global lower bound: the best tile-root ``m̂in`` (the score
     #: attained everywhere inside some whole tile).  Every tile seeds
     #: ``MaxMin`` with it, so losing tiles prune from their first pop.
@@ -303,6 +297,83 @@ class StreamPlan:
     @property
     def n_shards(self) -> int:
         return len(self.tiles)
+
+    def halo_rows(self, i: int) -> np.ndarray:
+        """Tile ``i``'s halo as ascending ``int64`` store rows."""
+        return self.windows[i][0] + _halo_offsets(self.halos[i])
+
+
+def _halo_offsets(halo: bytes) -> np.ndarray:
+    """The set bits of a packed halo bitmap: ascending window offsets."""
+    bits = np.unpackbits(np.frombuffer(halo, np.uint8), bitorder="little")
+    # nonzero's bool path is several times faster than its uint8 one.
+    return np.flatnonzero(bits.view(np.bool_))
+
+
+def _set_halo_bits(bits: dict[int, np.ndarray], lo_row: np.ndarray,
+                   rows: np.ndarray, cells: np.ndarray,
+                   per_cell: np.ndarray) -> None:
+    """Set one pair block's (row, cell) bits in the tiles' bitmaps.
+
+    While the scan runs, tile ``t``'s bitmap is aligned to whole bytes
+    of store rows: byte ``i`` holds rows ``8 * (lo_row[t] // 8 + i)``
+    onward, and :func:`_packed_halo` re-bases it on ``lo_row[t]`` at
+    the end.  The block's bits land first in a dense ``(cells present,
+    block bytes)`` scratch — its rows are ascending and span at most
+    :data:`_PAIR_BLOCK` rows, so the scratch stays small — and every
+    (row, cell) pair is distinct, so adding the bit values sets them.
+    """
+    present = np.flatnonzero(per_cell)
+    slot = np.zeros(per_cell.shape[0], dtype=np.int64)
+    slot[present] = np.arange(present.shape[0], dtype=np.int64)
+    first = int(rows[0]) >> 3
+    width = (int(rows[-1]) >> 3) - first + 1
+    block = np.zeros((present.shape[0], width), dtype=np.uint8)
+    np.add.at(block.reshape(-1), slot[cells] * width + (rows >> 3) - first,
+              np.left_shift(1, rows & 7).astype(np.uint8))
+    for i, t in enumerate(present.tolist()):
+        # A tile first met inside this block starts past its first
+        # byte; the bytes before its own start are zero.
+        start = first - (int(lo_row[t]) >> 3)
+        skip = max(0, -start)
+        end = start + width
+        buf = bits.get(t)
+        if buf is None or buf.shape[0] < end:
+            grown = np.zeros(max(end, 0 if buf is None
+                                 else 2 * buf.shape[0]), dtype=np.uint8)
+            if buf is not None:
+                grown[:buf.shape[0]] = buf
+            bits[t] = buf = grown
+        buf[start + skip:end] |= block[i, skip:]
+
+
+def _packed_halo(buf: np.ndarray, lo: int, hi: int) -> bytes:
+    """A scan bitmap (aligned to whole bytes of rows) re-based so bit 0
+    is row ``lo``, trimmed to the window ``[lo, hi)``."""
+    span = buf[:((hi - 1) >> 3) - (lo >> 3) + 1]
+    shift = lo & 7
+    if shift:
+        span = (span >> shift) | (np.append(span[1:], np.uint8(0))
+                                  << (8 - shift))
+    return span[:(hi - 1 - lo) // 8 + 1].tobytes()
+
+
+def _halo_set(handle: StoreHandle, window: tuple[int, int],
+              halo: bytes) -> tuple[CircleSet, np.ndarray]:
+    """A tile's halo disks gathered out of its row window.
+
+    Returns the compact set (centres, radii and scores of the halo rows,
+    in ascending row order) and the store row of each of its disks.
+    """
+    lo, hi = window
+    offsets = _halo_offsets(halo)
+    # repro: store-lifecycle(uncached slice window; the gather copies
+    # the halo rows, so its views die on return — the O(halo) memory
+    # contract of the executor and the seed-bound pass)
+    view = nlc_store.attach_slice(handle, lo, hi)
+    return (CircleSet(view.cx[offsets], view.cy[offsets],
+                      view.r[offsets], view.scores[offsets]),
+            lo + offsets)
 
 
 @dataclass
@@ -334,12 +405,14 @@ def plan_streamed(handle: StoreHandle, shards: int, *,
     """Chunk-scan a published store into a :class:`StreamPlan`.
 
     Two O(chunk)-memory passes over the store: the first unions slice
-    bounding boxes into the data space; the second runs the grid-binned
-    halo pass (:func:`_halo_pairs`) over each chunk, which assigns each
-    tile its candidate row window at O(rows + halo pairs) and flags the
-    tiles some disk contains.  Only those tiles can have a nonzero root
-    ``m̂in``, so only they are classified, over their windows, for the
-    Theorem 2 seed bound.  Every quantity is independent of
+    bounding boxes into the data space and checks the score signs; the
+    second runs the grid-binned halo pass (:func:`_halo_pairs`) over
+    each chunk, which sets each tile's halo bits — and so its row
+    window — at O(rows + halo pairs) and flags the tiles some disk
+    contains.  The halo bitmaps are the plan's only O(windows) part,
+    window/8 bytes per tile.  Only contained tiles can have a nonzero
+    root ``m̂in``, so only they are classified, over their halos, for
+    the Theorem 2 seed bound.  Every quantity is independent of
     ``chunk_rows`` (see the module docstring).
     """
     if shards < 1:
@@ -355,13 +428,19 @@ def plan_streamed(handle: StoreHandle, shards: int, *,
     with span("stream/scan_bbox", rows=length):
         xmin = ymin = np.inf
         xmax = ymax = -np.inf
+        scores_nonneg = True
         for lo, hi in _chunk_bounds(length, chunk_rows):
             # repro: store-lifecycle(memmap slice attaches are uncached
             # by design — the mapping dies with the views at the end of
-            # this statement, which is the O(chunk) RSS contract)
-            box = nlc_store.attach_slice(handle, lo, hi).bounding_box()
+            # this iteration, which is the O(chunk) RSS contract)
+            chunk = nlc_store.attach_slice(handle, lo, hi)
+            box = chunk.bounding_box()
             xmin, ymin = min(xmin, box.xmin), min(ymin, box.ymin)
             xmax, ymax = max(xmax, box.xmax), max(ymax, box.ymax)
+            scores_nonneg = (scores_nonneg
+                             and bool((chunk.scores >= 0.0).all()))
+        # Unmap the last chunk inside the span that mapped it.
+        del chunk
         box = Rect(xmin, ymin, xmax, ymax)
         # nlc_space's margin, verbatim, so the space matches bit-exactly.
         margin = max(box.width, box.height, 1.0) * 1e-6
@@ -380,110 +459,113 @@ def plan_streamed(handle: StoreHandle, shards: int, *,
         last_row = np.full(n_tiles, -1, dtype=np.int64)
         counts = np.zeros(n_tiles, dtype=np.int64)
         contained = np.zeros(n_tiles, dtype=bool)
+        bits: dict[int, np.ndarray] = {}
         for lo, hi in _chunk_bounds(length, chunk_rows):
             # repro: store-lifecycle(uncached slice window; the views
             # die when `chunk` is rebound on the next iteration)
             chunk = nlc_store.attach_slice(handle, lo, hi)
             for rows, cells, inside in _halo_pairs(chunk, xs, ys,
                                                    resolution):
+                if rows.shape[0] == 0:
+                    continue
                 rows += lo
                 np.minimum.at(lo_row, cells, rows)
                 np.maximum.at(last_row, cells, rows)
-                counts += np.bincount(cells, minlength=n_tiles)
+                per_cell = np.bincount(cells, minlength=n_tiles)
+                counts += per_cell
                 contained[cells[inside]] = True
+                _set_halo_bits(bits, lo_row, rows, cells, per_cell)
         # Unmap the last chunk inside the span that mapped it.
         del chunk
 
     kept = np.flatnonzero(counts).tolist()  # nothing scores elsewhere
-    kept_tiles = [tiles[t] for t in kept]
-    kept_windows = [(int(lo_row[t]), int(last_row[t]) + 1) for t in kept]
-    kept_counts = [int(counts[t]) for t in kept]
+    windows = tuple((int(lo_row[t]), int(last_row[t]) + 1) for t in kept)
+    halos = tuple(_packed_halo(bits.pop(t), lo, hi)
+                  for t, (lo, hi) in zip(kept, windows))
+    kept_counts = tuple(int(counts[t]) for t in kept)
     _HALO_ASSIGNMENTS.add(sum(kept_counts))
 
-    # The root m̂in of a tile classified over its own window equals the
-    # full-set classification: the window covers every disk that
+    # The root m̂in of a tile classified over its halo equals the
+    # full-set classification: the halo holds every disk that
     # intersects the tile, and the containing subset sums in the same
-    # ascending row order either way.  Classification runs over just the
-    # tile's candidate rows — the candidate gather extracts the identical
-    # ascending subset, while the O(window) classify temps (several
-    # float64 arrays per row) shrink to O(candidates).  A tile no disk
-    # contains has an empty containing set, so its root m̂in is the empty
-    # sum 0.0 and it cannot raise the bound: it is not classified.
+    # ascending row order either way.  A tile no disk contains has an
+    # empty containing set, so its root m̂in is the empty sum 0.0 and it
+    # cannot raise the bound: it is not classified.
     seed_bound = 0.0
-    roots = [(tiles[t], window) for t, window in zip(kept, kept_windows)
+    roots = [(tiles[t], window, halo)
+             for t, window, halo in zip(kept, windows, halos)
              if contained[t]]
     with span("stream/seed_bound", tiles=len(roots)):
-        for tile, (lo, hi) in roots:
-            # repro: store-lifecycle(uncached slice window, dropped at
-            # each rebind — planning never holds two windows at once)
-            window = nlc_store.attach_slice(handle, lo, hi)
-            cand = window.rects_intersecting([tile])[0]
-            root = window.classify_rects([tile], candidates=cand,
-                                         graze_tol=resolution)[0]
+        for tile, window, halo in roots:
+            nlcs, _ = _halo_set(handle, window, halo)
+            root = nlcs.classify_rects([tile], graze_tol=resolution)[0]
             seed_bound = max(seed_bound, float(root[3]))
 
     return StreamPlan(rows=length, space=space, resolution=resolution,
-                      tiles=tuple(kept_tiles),
-                      windows=tuple(kept_windows),
-                      candidate_counts=tuple(kept_counts),
+                      tiles=tuple(tiles[t] for t in kept),
+                      windows=windows, halos=halos,
+                      candidate_counts=kept_counts,
+                      scores_nonneg=scores_nonneg,
                       seed_bound=seed_bound)
 
 
-def _slice_seeds(seeds: list[FoundRegion], lo: int, hi: int) -> tuple:
-    """Translate store-row seed covers into a tile window's index space.
+def _halo_seeds(seeds: list[FoundRegion], rows: np.ndarray) -> tuple:
+    """Translate store-row seed covers onto a tile's halo positions.
 
-    Every member shifts by ``-lo`` in the dedupe key (out-of-window
-    members go negative — they only ever feed tuple identity), while
-    the third ``members`` element keeps just the maskable in-window
-    part.  Cover sizes and score sums stay those of the full cover, so
-    the Theorem 3 cardinality and score-sum early exits fire exactly as
-    they would over the full set — which is what keeps the in-process
-    and one-worker-pool schedules' merged counters bit-identical.
+    ``rows`` are the halo's ascending store rows.  A member inside the
+    halo becomes its position there; one outside keeps a distinct
+    negative key entry, ``-1 - row``, so the dedupe key stays
+    injective, while the third ``members`` element keeps just the
+    maskable halo positions.  Cover sizes and score sums stay those of
+    the full cover, so the Theorem 3 cardinality and score-sum early
+    exits fire exactly as they would over the full set — which is what
+    keeps the in-process and one-worker-pool schedules' merged counters
+    bit-identical.
     """
-    return tuple(
-        (tuple(i - lo for i in key), score,
-         tuple(i - lo for i in key if lo <= i < hi))
-        for key, score, _rect in seeds)
+    out = []
+    for key, score, _rect in seeds:
+        cover = np.array(key, dtype=np.int64)
+        pos = np.searchsorted(rows, cover)
+        inside = rows[np.minimum(pos, rows.shape[0] - 1)] == cover
+        out.append((tuple(np.where(inside, pos, -1 - cover).tolist()),
+                    score, tuple(pos[inside].tolist())))
+    return tuple(out)
 
 
 def run_tile(handle: StoreHandle, index: int, tile: Rect,
-             window: tuple[int, int], resolution: float,
+             window: tuple[int, int], halo: bytes, resolution: float,
              options: dict[str, Any], bound: Callable[[float], float],
-             sync_interval: int, seeds: list[FoundRegion]) -> TileOutput:
-    """Phase I over one tile, attached as its row window of the store.
+             sync_interval: int, seeds: list[FoundRegion], *,
+             scores_nonneg: bool) -> TileOutput:
+    """Phase I over one tile, searched over just its halo.
 
-    The tile's halo candidates are recomputed over the window — every
-    disk meeting the tile lies inside it, so they are the full-set
-    candidates minus ``lo`` — and seed the search's single root
-    (``run_phase1(roots=...)``).  ``bound`` is the Theorem 2 exchange
-    (publish a local bound, read back the global best): it seeds
-    ``MaxMin`` and is polled every ``sync_interval`` pops.  ``seeds``
-    holds the found regions of the tiles run before this one on the
-    same worker; this tile's found regions, in store rows, join it.
-    Counters are captured under an isolated registry, so they ship in
-    the output and reach the parent only via :func:`merge`.
+    ``halo`` is the plan's bitmap over the row window ``window``; the
+    halo rows are gathered out of that window into a compact set (every
+    disk meeting the tile, in ascending row order), whose disks all
+    seed the search's single root (``run_phase1(roots=...)``).  ``bound``
+    is the Theorem 2 exchange (publish a local bound, read back the
+    global best): it seeds ``MaxMin`` and is polled every
+    ``sync_interval`` pops.  ``seeds`` holds the found regions of the
+    tiles run before this one on the same worker; this tile's found
+    regions, mapped back to store rows, join it.  ``scores_nonneg`` is
+    the plan's whole-store sign flag.  Counters are captured under an
+    isolated registry, so they ship in the output and reach the parent
+    only via :func:`merge`.
     """
     lo, hi = window
     with _obs_metrics.REGISTRY.isolated() as box:
         with span(f"shard/tile{index}", rows=hi - lo):
-            # repro: store-lifecycle(uncached slice; the explicit del
-            # below releases the window before the next tile attaches —
-            # that release is the O(window) memory contract)
-            nlcs = nlc_store.attach_slice(handle, lo, hi)
-            candidates = nlcs.rects_intersecting([tile])[0]
+            nlcs, rows = _halo_set(handle, window, halo)
             accepted, max_min, stats = MaxFirst(**options).run_phase1(
                 nlcs, tile, resolution=resolution,
                 initial_bound=bound(0.0), bound_sync=bound,
                 sync_interval=sync_interval,
-                seed_covers=_slice_seeds(seeds, lo, hi),
-                roots=[(tile, candidates)])
+                seed_covers=_halo_seeds(seeds, rows),
+                roots=[(tile, np.arange(len(nlcs), dtype=np.int64))],
+                scores_nonneg=scores_nonneg)
             bound(max_min)
-            found = found_regions(accepted, lo)
+            found = found_regions(accepted, rows)
             seeds.extend(found)  # a cover listed twice seeds once
-            # The slice's mapped pages are O(window); letting two
-            # tiles' windows coexist would double the solve's memory
-            # high-water.
-            del nlcs, candidates, accepted
     return TileOutput(found=found, max_min=max_min, stats=stats.as_dict(),
                       obs_counters=dict(box["counters"]),
                       obs_gauges=dict(box["gauges"]))
@@ -506,7 +588,7 @@ class _SerialBound:
 def run_tiles(handle: StoreHandle, plan: StreamPlan,
               options: dict[str, Any],
               sync_interval: int) -> list[TileOutput]:
-    """Run every planned tile in-process, one window at a time.
+    """Run every planned tile in-process, one halo at a time.
 
     Tiles run in tile order, each seeded with the best bound and the
     accepted covers of the tiles before it — exactly the schedule a
@@ -515,10 +597,11 @@ def run_tiles(handle: StoreHandle, plan: StreamPlan,
     """
     bound = _SerialBound(plan.seed_bound)
     seeds: list[FoundRegion] = []
-    return [run_tile(handle, i, tile, window, plan.resolution, options,
-                     bound.sync, sync_interval, seeds)
-            for i, (tile, window) in enumerate(zip(plan.tiles,
-                                                   plan.windows))]
+    return [run_tile(handle, i, tile, window, halo, plan.resolution,
+                     options, bound.sync, sync_interval, seeds,
+                     scores_nonneg=plan.scores_nonneg)
+            for i, (tile, window, halo) in enumerate(zip(
+                plan.tiles, plan.windows, plan.halos))]
 
 
 def merge(nlcs: CircleSet, outputs: list[TileOutput], tie_tol: float
@@ -564,10 +647,11 @@ def solve_streamed(handle: StoreHandle, *, shards: int = 2,
 
     Solves the instance whose NLC set ``handle`` points at — published
     with :func:`repro.store.publish` or streamed in through
-    :func:`repro.core.nlc.build_nlcs_streaming` — visiting one tile
-    window at a time.  This is ``ShardedMaxFirst(shards=shards,
-    mode="tiles")`` over the same rows; pass a precomputed ``plan`` to
-    amortise the planning scans across repeated solves.
+    :func:`repro.core.nlc.build_nlcs_streaming` — searching one tile's
+    halo at a time, gathered out of its row window.  This is
+    ``ShardedMaxFirst(shards=shards, mode="tiles")`` over the same
+    rows; pass a precomputed ``plan`` to amortise the planning scans
+    across repeated solves.
 
     ``maxfirst_options`` forward to the per-tile :class:`MaxFirst`
     (``top_t`` must stay 1, as for every sharded execution).

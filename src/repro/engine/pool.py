@@ -9,12 +9,14 @@ process, immune to the parent's thread state) with a ``spawn``
 fallback; ``fork`` is deliberately not used — a forked worker would
 snapshot the parent's metrics registry and tracer mid-solve.
 
-Workers never receive NLC payloads: tiles arrive as a few-dozen-byte
-job tuple carrying a storage-backend handle (:mod:`repro.store`) plus
-the tile's row window ``[lo, hi)``, and each worker runs the tile
-engine's per-tile executor (:func:`repro.engine.outofcore.run_tile`),
-which attaches read-only views over *just that slice* — an
-``shm``/``memmap`` worker maps O(hi - lo) bytes, not the whole store.
+Workers never receive NLC payloads: tiles arrive as a small job tuple
+carrying a storage-backend handle (:mod:`repro.store`), the tile's row
+window ``[lo, hi)`` and its halo bitmap from the plan ((hi - lo)/8
+bytes), and each worker runs the tile engine's per-tile executor
+(:func:`repro.engine.outofcore.run_tile`), which attaches read-only
+views over *just that slice* and gathers the halo rows out of it — an
+``shm``/``memmap`` worker touches O(hi - lo) bytes, not the whole
+store.
 (A ``ram`` handle ships the arrays by value; it is the compatibility
 transport, not the default.)  Tile jobs are submitted individually to
 the executor, whose single internal call queue is the work-stealing
@@ -114,15 +116,17 @@ def _epoch_seeds(epoch: int, store_key: str) -> list:
 def solve_tile(job: tuple) -> tuple:
     """Worker entry: one tile through the tile engine's executor.
 
-    ``job`` ships a store handle plus the tile and its row window
-    ``[lo, hi)``; :func:`repro.engine.outofcore.run_tile` attaches just
-    that slice, exchanges bounds through the shared cell, and seeds
-    Theorem 3 with this worker's epoch history.  Returns
-    ``(tile_index, worker_pid, output, spans)``; the output's found
-    regions carry store rows, so the parent's merge is mode-independent.
+    ``job`` ships a store handle plus the tile, its row window
+    ``[lo, hi)``, its halo bitmap and the plan's score-sign flag;
+    :func:`repro.engine.outofcore.run_tile` attaches just that slice,
+    searches the halo rows gathered out of it, exchanges bounds through
+    the shared cell, and seeds Theorem 3 with this worker's epoch
+    history.  Returns ``(tile_index, worker_pid, output, spans)``; the
+    output's found regions carry store rows, so the parent's merge is
+    mode-independent.
     """
-    (epoch, handle, tile_tuple, window, tile_index, resolution,
-     options, sync_interval, trace_enabled, fail) = job
+    (epoch, handle, tile_tuple, window, halo, tile_index, resolution,
+     options, sync_interval, scores_nonneg, trace_enabled, fail) = job
     from repro.engine.outofcore import run_tile
     from repro.geometry.rect import Rect
     from repro.store import sanitize
@@ -136,8 +140,9 @@ def solve_tile(job: tuple) -> tuple:
             raise RuntimeError(
                 f"injected failure in tile {tile_index} (test hook)")
         output = run_tile(handle, tile_index, Rect(*tile_tuple), window,
-                          resolution, options, _shared_sync,
-                          sync_interval, seeds)
+                          halo, resolution, options, _shared_sync,
+                          sync_interval, seeds,
+                          scores_nonneg=scores_nonneg)
     spans = ([record.as_dict() for record in TRACER.drain()]
              if trace_enabled else [])
     return (tile_index, os.getpid(), output, spans)

@@ -1,15 +1,15 @@
 """Tile-sharded parallel Phase I.
 
 Partitions the data rectangle into a grid of tiles, assigns each tile the
-NLCs whose disks intersect it (halo inclusion via the tile engine's
-grid-binned pass, :func:`~repro.engine.outofcore.grid_halos`, which
-applies :meth:`~repro.index.circleset.CircleSet.rects_intersecting`'s
-open-disk test to just the disk/tile pairs whose bounding boxes meet),
-runs MaxFirst's Phase I per tile, and merges the tiles' found regions
-before a single Phase II pass over the whole set grows each distinct
-region once.  The planner, the per-tile executor and the merge are the
-tile engine of :mod:`repro.engine.outofcore`; this module picks how the
-tiles run.
+NLCs whose disks intersect it (its halo, found by the tile engine's
+grid-binned planning pass, which applies
+:meth:`~repro.index.circleset.CircleSet.rects_intersecting`'s open-disk
+test to just the disk/tile pairs whose bounding boxes meet and keeps
+each tile's halo in the plan), runs MaxFirst's Phase I per tile over
+its halo, and merges the tiles' found regions before a single Phase II
+pass over the whole set grows each distinct region once.  The planner,
+the per-tile executor and the merge are the tile engine of
+:mod:`repro.engine.outofcore`; this module picks how the tiles run.
 
 Why this is exact
 -----------------
@@ -37,8 +37,9 @@ Execution modes
 (:mod:`repro.engine.pool`): the NLC arrays are published once per solve
 through a :mod:`repro.store` backend (``shm`` by default;
 ``REPRO_STORE`` picks ``memmap`` / ``ram``), each tile job is
-a few-dozen-byte tuple carrying the handle plus the tile's row window,
-workers attach only that slice, and the executor's single call queue is
+a small tuple carrying the handle, the tile's row window and its halo
+bitmap (window/8 bytes, no NLC bytes), workers attach only that slice
+and gather just the halo rows, and the executor's single call queue is
 the work-stealing mechanism — idle workers pull the next tile, so a
 dense tile cannot straggle the run.  The Theorem-2 bound lives in a
 shared ``multiprocessing.Value`` owned by the pool.  ``"tiles"`` runs
@@ -74,8 +75,8 @@ from repro.core.problem import MaxBRkNNProblem
 from repro.core.quadrant import MaxFirstStats
 from repro.core.region import OptimalRegion, found_regions
 from repro.core.result import MaxBRkNNResult
-from repro.engine.outofcore import (StreamPlan, TileOutput, grid_halos,
-                                    merge, plan_streamed, run_tiles)
+from repro.engine.outofcore import (StreamPlan, TileOutput, merge,
+                                    plan_streamed, run_tiles)
 from repro.index.circleset import CircleSet
 from repro.obs import metrics as _obs_metrics
 from repro.obs.trace import TRACER, span
@@ -202,7 +203,7 @@ class ShardedMaxFirst:
     # ------------------------------------------------------------------ #
 
     def plan(self, nlcs: CircleSet) -> StreamPlan:
-        """Partition the space and assign each tile its row window."""
+        """Partition the space and assign each tile its halo."""
         return plan_streamed(
             self._tile_store(nlcs)[0], self.shards,
             resolution_fraction=self._solver.resolution_fraction)
@@ -273,19 +274,15 @@ class ShardedMaxFirst:
         tile-at-a-time pathology where a cold tile tessellates under a
         weak local bound because the tile holding the optimum has not
         run yet.  Exactness is untouched: each root's candidates are
-        its halo set at the global resolution, and bounds/covers only
-        ever prune.
+        its halo rows from the plan (:meth:`StreamPlan.halo_rows`), and
+        bounds/covers only ever prune.
         """
         with _obs_metrics.REGISTRY.isolated() as box:
             with span("shard/unified", tiles=plan.n_shards,
                       nlcs=len(nlcs)):
                 solver = MaxFirst(**self.maxfirst_options)
-                # The plan kept exactly the grid cells with a nonempty
-                # halo, in grid order.
-                halos = grid_halos(nlcs, plan.space, self.shards)
-                roots = list(zip(plan.tiles,
-                                 [cand for cand in halos if cand.shape[0]],
-                                 strict=True))
+                roots = [(tile, plan.halo_rows(i))
+                         for i, tile in enumerate(plan.tiles)]
                 accepted, max_min, stats = solver.run_phase1(
                     nlcs, plan.space, resolution=plan.resolution,
                     initial_bound=plan.seed_bound, roots=roots)
@@ -312,9 +309,10 @@ class ShardedMaxFirst:
         solve, published through the :mod:`repro.store` backend
         ``REPRO_STORE`` names, else ``shm`` (or reusing
         :attr:`external_store`'s handle when the pipeline already
-        published); each tile job is a few-dozen-byte
-        tuple carrying the handle plus the tile's row window, so a
-        worker attaches only that slice.  Jobs are submitted
+        published); each tile job is a small tuple carrying the
+        handle, the tile's row window and its halo bitmap (window/8
+        bytes), so a worker attaches only that slice and gathers just
+        the halo rows out of it.  Jobs are submitted
         individually — the executor's call queue is the stealing
         mechanism, so whichever worker goes idle takes the next tile.
         The segment/file is unlinked in the ``finally`` whatever
@@ -338,12 +336,13 @@ class ShardedMaxFirst:
         launch_ts = TRACER.now() if trace_enabled else 0.0
         futures = []
         try:
-            for i, (tile, window) in enumerate(zip(plan.tiles,
-                                                   plan.windows)):
+            for i, (tile, window, halo) in enumerate(zip(
+                    plan.tiles, plan.windows, plan.halos)):
                 job = (self._epoch, handle,
                        (tile.xmin, tile.ymin, tile.xmax, tile.ymax),
-                       window, i, plan.resolution, self.maxfirst_options,
-                       self.sync_interval, trace_enabled,
+                       window, halo, i, plan.resolution,
+                       self.maxfirst_options, self.sync_interval,
+                       plan.scores_nonneg, trace_enabled,
                        i in self._fail_tiles)
                 futures.append(pool.submit(job))
             with span("shard/tile_wait", tiles=plan.n_shards):

@@ -278,11 +278,10 @@ class CircleSet:
         predicate: the open-disk set is a superset of every graze-shrunk
         classification a shard will run inside the tile, so seeding a
         shard with these candidates preserves the single-process ``Q.I``
-        sets exactly.  Whole tile grids are binned instead
-        (:func:`repro.engine.outofcore.grid_halos` runs this arithmetic
-        on just the disk/tile pairs whose bounding boxes meet); this
-        all-pairs form serves single-tile windows and is that pass's
-        reference.
+        sets exactly.  The tile engine's planner runs this arithmetic on
+        just the disk/tile pairs whose bounding boxes meet
+        (``repro.engine.outofcore._halo_pairs``) and keeps the halos in
+        its plan; this all-pairs form is that pass's test reference.
         """
         arr = _rects_as_array(rects)
         n_rects = arr.shape[0]

@@ -164,7 +164,12 @@ class _Handler(BaseHTTPRequestHandler):
                 f"Content-Length {length} exceeds the "
                 f"{_MAX_BODY_BYTES}-byte body limit")
         raw = self.rfile.read(length) if length else b"{}"
-        doc = json.loads(raw.decode("utf-8"))
+        try:
+            doc = json.loads(raw.decode("utf-8"))
+        except RecursionError as exc:
+            # Nesting past the recursion limit is as malformed as any
+            # other undecodable body: a 400, not a 500.
+            raise ValueError("request body is nested too deeply") from exc
         if not isinstance(doc, dict):
             raise ValueError("request body must be a JSON object")
         return doc

@@ -42,6 +42,7 @@ in-process :mod:`repro.core.queries` calls even across the socket.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -298,6 +299,15 @@ def request_key(request: Request) -> str:
                       separators=(",", ":"))
 
 
+def _finite(doc: Mapping[str, Any], name: str) -> float:
+    """Field ``name`` of ``doc`` as a finite float (``ValueError`` on
+    NaN or an infinity, which JSON's ``NaN``/``Infinity`` let in)."""
+    value = float(doc[name])
+    if not math.isfinite(value):
+        raise ValueError(f"{name!r} must be finite, got {value!r}")
+    return value
+
+
 def decode_request(doc: Mapping[str, Any]) -> Request:
     """JSON value → request dataclass; raises ``ValueError`` (and only
     that) on anything but a well-formed request doc."""
@@ -319,8 +329,8 @@ def decode_request(doc: Mapping[str, Any]) -> Request:
         if cls is SiteInfluenceRequest:
             return SiteInfluenceRequest(instance=instance)
         if cls is ImpactRequest:
-            return ImpactRequest(instance=instance, x=float(doc["x"]),
-                                 y=float(doc["y"]))
+            return ImpactRequest(instance=instance, x=_finite(doc, "x"),
+                                 y=_finite(doc, "y"))
         if cls is SolveRequest:
             return SolveRequest(instance=instance,
                                 top_t=int(doc.get("top_t", 1)))
@@ -334,7 +344,7 @@ def decode_request(doc: Mapping[str, Any]) -> Request:
                     f"[1, {MAX_HEATMAP_EDGE}]^2")
             return HeatmapRequest(instance=instance, nx=nx, ny=ny)
         return AnytimeSolveRequest(instance=instance,
-                                   epsilon=float(doc["epsilon"]))
+                                   epsilon=_finite(doc, "epsilon"))
     except KeyError as exc:
         raise ValueError(
             f"{kind} request is missing field {exc.args[0]!r}") from exc

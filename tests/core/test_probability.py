@@ -28,6 +28,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             ProbabilityModel.of(0.2, 0.8)
 
+    @pytest.mark.parametrize("probs", [(math.nan,), (0.5, math.nan),
+                                       (math.inf,), (1.0, -math.inf)])
+    def test_non_finite_raises(self, probs):
+        # NaN fails every comparison, so the sum and ordering checks
+        # alone would let (nan,) through.
+        with pytest.raises(ValueError, match="non-finite"):
+            ProbabilityModel(probs)
+
     def test_valid_single(self):
         model = ProbabilityModel.of(1.0)
         assert model.k == 1

@@ -129,6 +129,15 @@ class TestImpactOfNewSite:
         assert impact.gain == 0.0
         assert impact.customers_won == 0
 
+    @pytest.mark.parametrize("x, y", [(float("nan"), 0.0),
+                                      (0.0, float("inf")),
+                                      (float("-inf"), float("nan"))])
+    def test_non_finite_location_rejected(self, line_problem, x, y):
+        """A NaN place compares false against every distance and would
+        rank first for every customer."""
+        with pytest.raises(ValueError, match="must be finite"):
+            impact_of_new_site(line_problem, x, y)
+
     def test_far_location_no_effect(self, line_problem):
         impact = impact_of_new_site(line_problem, 1000.0, 1000.0)
         assert impact.gain == 0.0

@@ -1,13 +1,13 @@
 """The planner's grid-binned halo pass is the full-set predicate, exactly.
 
-:func:`repro.engine.outofcore.grid_halos` and :func:`plan_streamed` bin
-each disk's bounding box against the tile grid's cut lines and test
-only the (row, cell) pairs the binning yields.  These properties pin
-that shortcut to its reference — ``rects_intersecting`` over every
-tile, plus a full-set ``classify_rects`` of the kept tile roots — on
-random and degenerate inputs: cut lines a few ulps apart, disks tangent
-to cut lines, zero radii, disks larger than the space, and a tile that
-a disk contains only within the graze tolerance.
+:func:`plan_streamed`'s halo pass (``outofcore._halo_pairs``) bins each
+disk's bounding box against the tile grid's cut lines and tests only
+the (row, cell) pairs the binning yields.  These properties pin that
+shortcut to its reference — ``rects_intersecting`` over every tile,
+plus a full-set ``classify_rects`` of the kept tile roots — on random
+and degenerate inputs: cut lines a few ulps apart, disks tangent to cut
+lines, zero radii, disks larger than the space, and a tile that a disk
+contains only within the graze tolerance.
 """
 
 import dataclasses
@@ -22,7 +22,7 @@ from repro.core.problem import MaxBRkNNProblem
 from repro.datasets.synthetic import (striped_uniform_chunks,
                                       synthetic_instance, uniform_points)
 from repro.engine import outofcore
-from repro.engine.outofcore import (StreamPlan, grid_halos, plan_streamed,
+from repro.engine.outofcore import (StreamPlan, plan_streamed,
                                     solve_streamed, tile_grid)
 from repro.geometry.rect import Rect
 from repro.index.circleset import CircleSet
@@ -122,8 +122,26 @@ def _tangent(space, shards):
     return _circles(cx, cy, r)
 
 
+def _grid_halos(circles, space, shards):
+    """Per-tile halo rows of ``tile_grid(space, shards)`` from
+    ``_halo_pairs``, grouped by cell with each cell's rows ascending."""
+    xs, ys = outofcore._grid_cuts(space, shards)
+    n_cells = (xs.shape[0] - 1) * (ys.shape[0] - 1)
+    blocks = [(rows, cells)
+              for rows, cells, _ in outofcore._halo_pairs(circles, xs, ys,
+                                                          0.0)]
+    if not blocks:
+        return [np.zeros(0, dtype=np.int64) for _ in range(n_cells)]
+    rows = np.concatenate([rows for rows, _ in blocks])
+    cells = np.concatenate([cells for _, cells in blocks])
+    # A stable sort by cell keeps each cell's rows ascending.
+    order = np.argsort(cells, kind="stable")
+    bounds = np.cumsum(np.bincount(cells, minlength=n_cells))[:-1]
+    return np.split(rows[order], bounds)
+
+
 def _assert_halos_equal(circles, space, shards):
-    got = grid_halos(circles, space, shards)
+    got = _grid_halos(circles, space, shards)
     want = circles.rects_intersecting(tile_grid(space, shards))
     assert len(got) == len(want)
     for cell, (g, w) in enumerate(zip(got, want)):
@@ -179,6 +197,15 @@ class TestGridHalosMatchPredicate:
         _assert_halos_equal(circles, Rect(0.0, 0.0, 1.0, 1.0), shards)
 
 
+def _packed(cand):
+    """``cand``'s bitmap over its row window, bit ``j`` for row
+    ``cand[0] + j``, little-endian within each byte."""
+    lo = int(cand[0])
+    mask = np.zeros(int(cand[-1]) + 1 - lo, dtype=bool)
+    mask[cand - lo] = True
+    return np.packbits(mask, bitorder="little").tobytes()
+
+
 def _reference_plan(nlcs, shards):
     """The plan from full-set predicates: halos by ``rects_intersecting``
     over every tile, seed bound by ``classify_rects`` of the kept
@@ -196,7 +223,9 @@ def _reference_plan(nlcs, shards):
         tiles=tuple(tile for tile, _ in kept),
         windows=tuple((int(cand[0]), int(cand[-1]) + 1)
                       for _, cand in kept),
+        halos=tuple(_packed(cand) for _, cand in kept),
         candidate_counts=tuple(int(cand.shape[0]) for _, cand in kept),
+        scores_nonneg=bool((nlcs.scores >= 0.0).all()),
         seed_bound=max([0.0] + [float(root[3]) for root in roots]))
 
 
@@ -228,8 +257,15 @@ class TestPlanMatchesReference:
             plan = plan_streamed(owner.handle, shards, **options)
             want = _reference_plan(nlcs, shards)
             for f in dataclasses.fields(StreamPlan):
-                assert getattr(plan, f.name) == getattr(want, f.name), (
-                    f"{kind} shards={shards}: {f.name}")
+                if f.name != "halos":
+                    assert getattr(plan, f.name) == getattr(want, f.name), (
+                        f"{kind} shards={shards}: {f.name}")
+                    continue
+                assert len(plan.halos) == len(want.halos)
+                for i in range(want.n_shards):
+                    np.testing.assert_array_equal(
+                        plan.halo_rows(i), want.halo_rows(i),
+                        err_msg=f"{kind} shards={shards}: halo {i}")
 
 
 class TestSeedBoundSkipsUncontainedTiles:

@@ -220,12 +220,12 @@ class TestBoundExchange:
         # no bound and no seed covers with the other tiles.
         independent_pops = 0
         with nlc_store.publish(nlcs, "ram") as owner:
-            for i, (tile, window) in enumerate(zip(plan.tiles,
-                                                   plan.windows)):
-                out = run_tile(owner.handle, i, tile, window,
+            for i, (tile, window, halo) in enumerate(zip(
+                    plan.tiles, plan.windows, plan.halos)):
+                out = run_tile(owner.handle, i, tile, window, halo,
                                plan.resolution, {},
                                lambda local: max(local, plan.seed_bound),
-                               0, [])
+                               0, [], scores_nonneg=plan.scores_nonneg)
                 independent_pops += out.stats["generated"]
         assert shared_pops <= independent_pops
 

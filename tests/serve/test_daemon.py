@@ -144,6 +144,69 @@ class TestEnvelopeErrors:
         finally:
             conn.close()
 
+    @pytest.mark.parametrize("field, value", [("x", b"NaN"),
+                                              ("y", b"-Infinity"),
+                                              ("epsilon", b"NaN")])
+    def test_non_finite_request_floats_are_400_on_a_kept_connection(
+            self, daemon, serve_problem, field, value):
+        """JSON's NaN and Infinity are no place and no tolerance: the
+        request is refused by name, not answered."""
+        host, port = daemon.address
+        with ServeClient(host, port) as client:
+            instance_id = client.publish(_publish_body(serve_problem))
+        kind = "solve_anytime" if field == "epsilon" else "impact"
+        fields = {"x": b"0.5", "y": b"0.5", "epsilon": b"0.25",
+                  field: value}
+        body = (b'{"requests": [{"kind": "%s", "instance": "%s", '
+                b'"x": %s, "y": %s, "epsilon": %s}]}'
+                % (kind.encode(), instance_id.encode(), fields["x"],
+                   fields["y"], fields["epsilon"]))
+        conn = HTTPConnection(host, port, timeout=10.0)
+        try:
+            status, doc, header = _post(conn, "/query", body)
+            assert (status, header) == (400, None), doc
+            assert f"'{field}' must be finite" in doc["error"]
+            sock = conn.sock
+            status, doc, _ = _post(
+                conn, "/query",
+                b'{"requests": [{"kind": "impact", "instance": "%s", '
+                b'"x": 0.5, "y": 0.5}]}' % instance_id.encode())
+            assert status == 200, doc
+            assert conn.sock is sock  # no reconnect needed
+        finally:
+            conn.close()
+
+    def test_nan_probability_publish_is_400(self, daemon):
+        host, port = daemon.address
+        conn = HTTPConnection(host, port, timeout=10.0)
+        try:
+            status, doc, header = _post(
+                conn, "/publish",
+                b'{"customers": [[0.0, 0.0]], "sites": [[1.0, 1.0]], '
+                b'"k": 1, "probability": [NaN]}')
+            assert (status, header) == (400, None), doc
+            assert "non-finite probability" in doc["error"]
+        finally:
+            conn.close()
+
+    def test_deeply_nested_body_is_400_on_a_kept_connection(self,
+                                                            daemon):
+        """A body nested past the recursion limit is malformed JSON like
+        any other, not a server fault."""
+        host, port = daemon.address
+        conn = HTTPConnection(host, port, timeout=10.0)
+        try:
+            depth = 100_000
+            status, doc, header = _post(conn, "/query", b"[" * depth)
+            assert (status, header) == (400, None), doc
+            assert "nested too deeply" in doc["error"]
+            sock = conn.sock
+            status, doc, _ = _post(conn, "/query", b'{"requests": []}')
+            assert (status, doc) == (200, {"responses": []})
+            assert conn.sock is sock  # no reconnect needed
+        finally:
+            conn.close()
+
 
 class TestFailClosed:
     @pytest.mark.parametrize("length", ["-1", "12abc"])

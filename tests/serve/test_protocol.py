@@ -94,6 +94,21 @@ class TestDecodeErrors:
             decode_request({"kind": "impact", "instance": "i",
                             "x": "north", "y": 0.0})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    @pytest.mark.parametrize("kind, field", [("impact", "x"),
+                                             ("impact", "y"),
+                                             ("solve_anytime", "epsilon")])
+    def test_non_finite_floats_rejected(self, kind, field, value):
+        """JSON's ``NaN``/``Infinity`` parse to floats no place or
+        tolerance can take: the decoder refuses them by name."""
+        doc = {"kind": kind, "instance": "i", "x": 0.5, "y": 0.5,
+               "epsilon": 0.25, field: value}
+        with pytest.raises(ValueError, match=f"'{field}' must be finite"):
+            decode_request(doc)
+        with pytest.raises(ValueError, match="must be finite"):
+            decode_request(json.loads(json.dumps(doc)))
+
     def test_unknown_response_kind(self):
         with pytest.raises(ValueError, match="unknown response kind"):
             decode_response({"kind": "frobnicate"})
