@@ -99,24 +99,21 @@ class MaxOverlap:
         would count both disks; the tolerance restores that under floats.
     grid_target_per_cell:
         Sizing knob for the uniform bucket grid used to enumerate pairs.
-    nlc_method / keep_zero_score_nlcs:
+    keep_zero_score_nlcs:
         Passed to :func:`repro.core.nlc.build_nlcs`.
     """
 
     def __init__(self, boundary_tol: float | None = None,
                  grid_target_per_cell: float = 4.0,
-                 nlc_method: str = "auto",
                  keep_zero_score_nlcs: bool = False) -> None:
         self.boundary_tol = boundary_tol
         self.grid_target_per_cell = grid_target_per_cell
-        self.nlc_method = nlc_method
         self.keep_zero_score_nlcs = keep_zero_score_nlcs
 
     def solve(self, problem: MaxBRkNNProblem) -> MaxOverlapResult:
         """Run the full MaxOverlap pipeline on a problem instance."""
         t0 = time.perf_counter()
-        nlcs = build_nlcs(problem, method=self.nlc_method,
-                          keep_zero_score=self.keep_zero_score_nlcs)
+        nlcs = build_nlcs(problem, keep_zero_score=self.keep_zero_score_nlcs)
         t1 = time.perf_counter()
         if len(nlcs) == 0:
             # Legal degenerate instance (e.g. all weights zero).

@@ -245,7 +245,7 @@ class MaxFirst:
         when many degenerate spots interleave in the heap; depth is a
         robust secondary trigger — healthy searches rarely exceed depth
         ~16, degeneracy chases exceed 25.
-    nlc_method / keep_zero_score_nlcs:
+    keep_zero_score_nlcs:
         Passed through to :func:`repro.core.nlc.build_nlcs`.
     hotpath:
         ``"batched"`` (default): classify each split's whole child
@@ -275,7 +275,6 @@ class MaxFirst:
                  tie_tol: float = 1e-9,
                  resolution_fraction: float = 1e-9,
                  degeneracy_depth: int = 20,
-                 nlc_method: str = "auto",
                  keep_zero_score_nlcs: bool = False,
                  hotpath: str = "batched",
                  epsilon: float = 0.0,
@@ -292,6 +291,10 @@ class MaxFirst:
                 f"hotpath must be one of {_HOTPATHS}, got {hotpath!r}")
         if top_t < 1:
             raise ValueError("top_t must be positive")
+        if not all(map(math.isfinite,
+                       (tie_tol, resolution_fraction, epsilon))):
+            raise ValueError(
+                "tie_tol, resolution_fraction and epsilon must be finite")
         if tie_tol < 0 or resolution_fraction < 0:
             raise ValueError("tolerances must be non-negative")
         if epsilon < 0:
@@ -308,7 +311,6 @@ class MaxFirst:
         self.tie_tol = tie_tol
         self.resolution_fraction = resolution_fraction
         self.degeneracy_depth = degeneracy_depth
-        self.nlc_method = nlc_method
         self.keep_zero_score_nlcs = keep_zero_score_nlcs
         self.hotpath = hotpath
         self.epsilon = epsilon
@@ -325,8 +327,7 @@ class MaxFirst:
     def solve(self, problem: MaxBRkNNProblem) -> MaxBRkNNResult:
         """Run the full pipeline: NLC construction, Phase I, Phase II."""
         t0 = time.perf_counter()
-        nlcs = build_nlcs(problem, method=self.nlc_method,
-                          keep_zero_score=self.keep_zero_score_nlcs)
+        nlcs = build_nlcs(problem, keep_zero_score=self.keep_zero_score_nlcs)
         t1 = time.perf_counter()
         if len(nlcs) == 0:
             # Legal degenerate instance (e.g. all weights zero): nothing

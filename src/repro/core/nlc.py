@@ -3,33 +3,30 @@
 This is the pre-processing step of both MaxFirst and MaxOverlap: for every
 customer object ``o``, find its ``k`` nearest service sites and materialise
 the ``k`` concentric NLCs with their Definition 2 scores.  The paper
-budgets ``O(|O| log |P|)`` for this step using an R-tree over the sites; we
-offer three engines and pick automatically:
+budgets ``O(|O| log |P|)`` for this step using an R-tree over the sites.
+One exact search, :func:`knn_chunked`, answers every kNN query here, at
+every site count:
 
-* ``"brute"`` — the exact engine of the paper's regime (``|P| <= 4096``).
-  With the compiled kernel loaded it is an ``O(|O| log |P|)`` search
-  over a static bucket kd-tree of the sites (:class:`SiteTree`, built
-  once per site set), pruning a node only when its box distance² is
-  strictly greater than the current k-th ``(distance², index)``; that
-  bound never exceeds the computed distance² of a site inside the box,
-  so results are bit-identical to the numpy scan.  ``REPRO_NO_CKERNEL=1``
-  forces that scan: a chunked ``argpartition`` over every site, the
-  oracle the identity tests compare against.  Both paths share the
-  ``(distance, index)`` tie-break.
-* ``"kdtree"`` — batched traversal of our
-  :class:`~repro.index.kdtree.KDTree`; wins when ``|P|`` is large.
-* ``"rtree"`` — batched kNN on our :class:`~repro.index.rtree.RTree`,
-  the literal structure from the paper (kept for fidelity and tests).
+* With the compiled kernel loaded it searches a static bucket kd-tree of
+  the sites (:class:`SiteTree`, built once per site set), which stands in
+  for the paper's R-tree at the same ``O(log |P|)`` sites per query.  It
+  prunes a node only when its box distance² is strictly greater than the
+  current k-th ``(distance², index)``; that bound never exceeds the
+  computed distance² of a site inside the box, so results are
+  bit-identical to the numpy scan.
+* ``REPRO_NO_CKERNEL=1`` forces that scan: a chunked ``argpartition``
+  over every site, the oracle the identity tests compare against.
 
-Engine work is observable through the ``nlc_build_queries`` /
-``nlc_build_chunks`` counters (see docs/observability.md), which the CI
-perf gate diffs against its blessed baseline.
+Both paths compute each distance as ``sqrt(dx*dx + dy*dy)`` and share the
+``(distance, index)`` tie-break.  Their work is observable through the
+``nlc_build_queries`` / ``nlc_build_chunks`` counters (see
+docs/observability.md), which the CI perf gate diffs against its blessed
+baseline.
 """
 
 from __future__ import annotations
 
-import sys
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,18 +39,21 @@ from repro.core.problem import MaxBRkNNProblem
 from repro.geometry.rect import Rect
 from repro.index._ckernel import KnnKernel, load_knn_kernel
 from repro.index.circleset import CircleSet
-from repro.index.kdtree import KDTree
-from repro.index.rtree import RTree
 from repro.obs import metrics as _obs_metrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.store import NLCStore
 
+#: Queries per counted chunk of :func:`knn_chunked`, and the numpy scan's
+#: rows per chunk at up to ``_SCAN_ELEMENTS // _BRUTE_CHUNK`` sites.
 _BRUTE_CHUNK = 2048
+#: Scratch budget of one numpy scan chunk, in (query, site) pairs: 2048
+#: rows at 4096 sites.  Larger site sets scan fewer rows per chunk.
+_SCAN_ELEMENTS = _BRUTE_CHUNK * 4096
 
-#: Deterministic work counters: kNN queries answered and brute-force
-#: chunks processed during NLC construction.  Counted by the same
-#: formula on the compiled and numpy kernel paths (like
+#: Deterministic work counters: kNN queries answered and
+#: ``_BRUTE_CHUNK``-query chunks during NLC construction.  Counted by
+#: the same formula on the compiled and numpy kernel paths (like
 #: ``kernel_batches``), so the perf gate sees identical values on both
 #: CI arms.
 _NLC_QUERIES = _obs_metrics.counter("nlc_build_queries")
@@ -61,9 +61,6 @@ _NLC_CHUNKS = _obs_metrics.counter("nlc_build_chunks")
 #: High-water process RSS observed after each streamed build chunk — the
 #: figure the out-of-core tier keeps at O(chunk) while the store grows.
 _CHUNK_RSS_PEAK = _obs_metrics.gauge("nlc_build_chunk_rss_peak")
-# Above this many sites the kd-tree's O(log |P|) per query beats the numpy
-# O(|P|) row scan (empirically calibrated; exact crossover is unimportant).
-_BRUTE_SITE_LIMIT = 4096
 # Sites per SiteTree leaf (at most): small enough that a query scans few
 # sites past its k-th neighbour, large enough to keep the tree shallow.
 _TREE_LEAF = 8
@@ -71,18 +68,18 @@ _TREE_LEAF = 8
 
 class SiteTree:
     """Static bucket kd-tree over one site set: the prepared index of the
-    compiled ``"brute"`` engine (see ``knn_tree_build`` in
-    ``_quadkernel.c``).
+    compiled search (see ``knn_tree_build`` in ``_quadkernel.c``).
 
     An implicit complete binary tree of ``depth`` levels: internal nodes
     split their sites at the median on the wider axis of their box,
     leaves hold at most ``_TREE_LEAF`` sites, and ``boxes`` holds every
     node's tight ``(xmin, ymin, xmax, ymax)``.  ``xy`` / ``idx`` are the
-    sites in tree order and their original indices.  Plain arrays only,
-    so the index pickles like the other engines' trees.
+    sites in tree order and their original indices; ``points`` is the
+    array the tree was built from, which :func:`knn_chunked` accepts
+    again without comparing every site.
     """
 
-    __slots__ = ("xy", "idx", "boxes", "depth")
+    __slots__ = ("xy", "idx", "boxes", "depth", "points")
 
     def __init__(self, points: np.ndarray, kernel: KnnKernel) -> None:
         points = np.ascontiguousarray(points, dtype=np.float64)
@@ -91,6 +88,7 @@ class SiteTree:
         while -(-n // (1 << depth)) > _TREE_LEAF:
             depth += 1
         self.depth = depth
+        self.points = points
         self.xy = np.empty((n, 2), dtype=np.float64)
         self.idx = np.empty(n, dtype=np.int64)
         self.boxes = np.empty(((2 << depth) - 1, 4), dtype=np.float64)
@@ -101,88 +99,32 @@ class SiteTree:
         return int(self.idx.shape[0])
 
 
-#: A prepared site index from :func:`build_knn_tree`, any engine.
-KnnTree = Union[KDTree, RTree, SiteTree]
-
-
-def resolve_knn_method(n_points: int, method: str = "auto") -> str:
-    """Resolve ``"auto"`` to the concrete engine for ``n_points`` sites."""
-    if method == "auto":
-        return "brute" if n_points <= _BRUTE_SITE_LIMIT else "kdtree"
-    if method not in ("brute", "kdtree", "rtree"):
-        raise ValueError(f"unknown kNN method: {method!r}")
-    return method
-
-
-def build_knn_tree(points: np.ndarray,
-                   method: str = "auto") -> KnnTree | None:
-    """Prebuild the spatial index :func:`knn_distances` would build for
-    ``method``, so callers issuing several query batches against the same
-    site set (streamed chunks, the pipeline's ``build_nlcs`` stage across
-    repeated runs) pay construction once.  The brute
-    engine's index is the compiled kernel's :class:`SiteTree`; without
-    the kernel (``REPRO_NO_CKERNEL=1``) the numpy scan has no index and
-    this returns ``None``.
+def build_knn_tree(points: np.ndarray) -> SiteTree | None:
+    """Prebuild the site index :func:`knn_chunked` searches, so callers
+    issuing several query batches against the same site set (streamed
+    chunks, the pipeline's ``build_nlcs`` stage across repeated runs,
+    a served instance) pay construction once.  Without the kernel
+    (``REPRO_NO_CKERNEL=1``) the numpy scan has no index and this
+    returns ``None``.
     """
-    points = np.asarray(points, dtype=np.float64)
-    method = resolve_knn_method(points.shape[0], method)
-    if method == "kdtree":
-        return KDTree(points)
-    if method == "rtree":
-        return RTree.bulk_load(
-            (Rect(float(x), float(y), float(x), float(y)), i)
-            for i, (x, y) in enumerate(points))
     kernel = load_knn_kernel()
     return SiteTree(points, kernel) if kernel is not None else None
 
 
-def knn_distances_indices(
-        queries: np.ndarray, points: np.ndarray, k: int,
-        method: str = "auto",
-        tree: KnnTree | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distances *and* indices of each query's ``k`` nearest ``points``.
-
-    Returns ``(distances, indices)``, both ``(n_queries, k)``, rows
-    ascending by distance.  Every engine computes both arrays in one
-    pass, so callers that need distances and neighbour identities (e.g.
-    :func:`repro.core.queries.knn_sites` alongside :func:`build_nlcs`)
-    never run the distance matrix twice.  Distances are
-    engine-independent (ties do not affect *distances*); indices resolve
-    distance ties to the lowest site index on every engine.  ``tree``
-    optionally reuses a :func:`build_knn_tree` product for the matching
-    method instead of rebuilding it per call.
-    """
-    queries = np.asarray(queries, dtype=np.float64)
-    points = np.asarray(points, dtype=np.float64)
-    if k < 1 or k > points.shape[0]:
-        raise ValueError(
-            f"k={k} out of range for {points.shape[0]} points")
-    method = resolve_knn_method(points.shape[0], method)
-    if method == "brute":
-        return knn_chunked(queries, points, k,
-                           tree=tree if isinstance(tree, SiteTree) else None)
-    if method == "kdtree":
-        return _knn_kdtree(queries, points, k, tree=tree)
-    return _knn_rtree(queries, points, k, tree=tree)
-
-
 def knn_distances(queries: np.ndarray, points: np.ndarray, k: int,
-                  method: str = "auto",
-                  tree: KnnTree | None = None) -> np.ndarray:
+                  tree: SiteTree | None = None) -> np.ndarray:
     """Distances from each query to its ``k`` nearest ``points``.
 
-    Returns an ``(n_queries, k)`` array of ascending distances.  Thin
-    wrapper over :func:`knn_distances_indices` for callers that only
-    need radii.
+    Returns an ``(n_queries, k)`` array of ascending distances: the
+    first half of :func:`knn_chunked`, for callers that only need radii.
+    ``tree`` optionally reuses a :func:`build_knn_tree` index over
+    ``points``.
     """
-    return knn_distances_indices(queries, points, k,
-                                 method=method, tree=tree)[0]
+    return knn_chunked(queries, points, k, tree=tree)[0]
 
 
-def build_nlcs(problem: MaxBRkNNProblem, method: str = "auto",
-               keep_zero_score: bool = False,
-               tree: KnnTree | None = None) -> CircleSet:
+def build_nlcs(problem: MaxBRkNNProblem, keep_zero_score: bool = False,
+               tree: SiteTree | None = None) -> CircleSet:
     """Materialise the scored NLCs of every customer object.
 
     By default NLCs whose Definition 2 score is zero are dropped: a
@@ -204,7 +146,7 @@ def build_nlcs(problem: MaxBRkNNProblem, method: str = "auto",
         return CircleSet(empty_f, empty_f, empty_f, empty_f,
                          owners=empty_i, levels=empty_i)
     dists = knn_distances(problem.customers, problem.sites, problem.k,
-                          method=method, tree=tree)
+                          tree=tree)
     score_rows = _score_rows(problem.models, problem.k, {})
     cx, cy, radii, scores, owners, levels = nlc_soa_chunk(
         problem.customers, problem.weights, score_rows, dists, 0,
@@ -245,17 +187,6 @@ def _score_rows(models: Sequence["ProbabilityModel"], k: int,
     return table[inverse]
 
 
-def _rss_peak_bytes() -> float | None:
-    """Process peak RSS in bytes (None where ``resource`` is absent)."""
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - Windows
-        return None
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # ru_maxrss is KiB on Linux but bytes on macOS.
-    return float(peak * (1 if sys.platform == "darwin" else 1024))
-
-
 def nlc_soa_chunk(customers: np.ndarray, weights: np.ndarray,
                   score_rows: np.ndarray, dists: np.ndarray,
                   owner_base: int, keep_zero_score: bool
@@ -289,9 +220,8 @@ def stream_nlc_chunks(customer_chunks: "Iterable[np.ndarray]",
                       sites: np.ndarray, k: int,
                       weight_chunks: "Iterable[np.ndarray] | None" = None,
                       probability: "ProbabilityLike" = None,
-                      method: str = "auto",
                       keep_zero_score: bool = False,
-                      tree: KnnTree | None = None,
+                      tree: SiteTree | None = None,
                       ) -> "Iterator[tuple[np.ndarray, ...]]":
     """Yield store-ready SoA chunks from streamed customer coordinates.
 
@@ -301,44 +231,56 @@ def stream_nlc_chunks(customer_chunks: "Iterable[np.ndarray]",
     owner ids), ready for a :class:`repro.store.StoreWriter`.  Peak RAM
     is O(chunk) + O(sites).  ``probability`` accepts the shared forms
     (``None``, one model, one sequence); per-customer model lists need
-    the problem-level API.  The ``nlc_build_chunk_rss_peak`` gauge
-    records the process high-water mark after every chunk.
+    the problem-level API.  ``weight_chunks``, when given, must pair
+    one-to-one with the customer chunks (``ValueError`` otherwise).  The
+    ``nlc_build_chunk_rss_peak`` gauge records the process high-water
+    mark after every chunk.
     """
-    sites = np.asarray(sites, dtype=np.float64)
-    method = resolve_knn_method(sites.shape[0], method)
+    sites = np.ascontiguousarray(sites, dtype=np.float64)
     if tree is None:
-        tree = build_knn_tree(sites, method)
+        tree = build_knn_tree(sites)
     base = np.array(
         resolve_models(probability, int(k), 1)[0].scores(1.0),
         dtype=np.float64)
     weight_iter = iter(weight_chunks) if weight_chunks is not None else None
     offset = 0
-    for chunk in customer_chunks:
+    for index, chunk in enumerate(customer_chunks):
         chunk = np.asarray(chunk, dtype=np.float64)
         m = chunk.shape[0]
         if weight_iter is None:
             weights = np.ones(m, dtype=np.float64)
         else:
-            weights = np.asarray(next(weight_iter), dtype=np.float64)
+            weights = next(weight_iter, None)
+            if weights is None:
+                raise ValueError(
+                    "fewer weight chunks than customer chunks (none for "
+                    f"customer chunk {index})")
+            weights = np.asarray(weights, dtype=np.float64)
             if weights.shape[0] != m:
                 raise ValueError(
                     "weight chunk length does not match customer chunk")
-        dists = knn_distances(chunk, sites, k, method=method, tree=tree)
+        dists = knn_distances(chunk, sites, k, tree=tree)
         yield nlc_soa_chunk(chunk, weights,
                             np.broadcast_to(base, (m, base.shape[0])),
                             dists, offset, keep_zero_score)
         offset += m
-        rss = _rss_peak_bytes()
-        if rss is not None:
-            _CHUNK_RSS_PEAK.observe_max(rss)
+        _observe_chunk_rss()
+    if weight_iter is not None and next(weight_iter, None) is not None:
+        raise ValueError("more weight chunks than customer chunks")
+
+
+def _observe_chunk_rss() -> None:
+    """Record the process peak RSS in ``nlc_build_chunk_rss_peak``."""
+    rss = _obs_metrics.peak_rss_bytes()
+    if rss is not None:
+        _CHUNK_RSS_PEAK.observe_max(rss)
 
 
 def build_nlcs_streaming(problem: MaxBRkNNProblem,
                          store: str | None = None,
                          chunk_size: int = 65536,
-                         method: str = "auto",
                          keep_zero_score: bool = False,
-                         tree: KnnTree | None = None) -> "NLCStore":
+                         tree: SiteTree | None = None) -> "NLCStore":
     """Build the NLC set straight into a storage backend, chunk by chunk.
 
     The streaming sibling of :func:`build_nlcs`: customers are processed
@@ -353,7 +295,7 @@ def build_nlcs_streaming(problem: MaxBRkNNProblem,
     every backend and chunk size (per-chunk kNN, scoring and the
     zero-score filter are element-wise identical; chunks concatenate in
     customer order).  Work counters also match whenever ``chunk_size``
-    is a multiple of the brute engine's internal chunk (2048), because
+    is a multiple of the kNN search's counted chunk (2048), because
     only the final chunk is then partial — the identity tests pin this.
     The all-zero-weight short-circuit of :func:`build_nlcs` applies: the
     sealed store is empty and no counted work runs.
@@ -368,24 +310,19 @@ def build_nlcs_streaming(problem: MaxBRkNNProblem,
     try:
         if not degenerate:
             if tree is None:
-                tree = build_knn_tree(
-                    problem.sites,
-                    resolve_knn_method(problem.n_sites, method))
+                tree = build_knn_tree(problem.sites)
             cache: dict[tuple, np.ndarray] = {}
             for start in range(0, n, chunk_size):
                 stop = min(start + chunk_size, n)
                 score_rows = _score_rows(problem.models[start:stop], k,
                                          cache)
                 dists = knn_distances(problem.customers[start:stop],
-                                      problem.sites, k,
-                                      method=method, tree=tree)
+                                      problem.sites, k, tree=tree)
                 writer.append(nlc_soa_chunk(
                     problem.customers[start:stop],
                     problem.weights[start:stop], score_rows, dists,
                     start, keep_zero_score))
-                rss = _rss_peak_bytes()
-                if rss is not None:
-                    _CHUNK_RSS_PEAK.observe_max(rss)
+                _observe_chunk_rss()
     except BaseException:
         writer.abort()
         raise
@@ -405,21 +342,22 @@ def nlc_space(nlcs: CircleSet, margin_fraction: float = 1e-6) -> Rect:
 
 
 # ---------------------------------------------------------------------- #
-# Engines
+# The kNN search
 # ---------------------------------------------------------------------- #
 
 def knn_chunked(queries: np.ndarray, points: np.ndarray, k: int,
                 tree: SiteTree | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact kNN of the ``"brute"`` engine: ``(distances, indices)``,
-    both ``(n_queries, k)``.
+    """Exact kNN of every query: ``(distances, indices)``, both
+    ``(n_queries, k)``, rows ascending by distance.
 
-    The single implementation behind :func:`knn_distances_indices`'s
-    brute engine and :func:`repro.core.queries.knn_sites`.  The hot path
-    is the compiled ``knn_tree_search`` kernel: a depth-first search of
-    the sites' :class:`SiteTree` (``tree``, or one built here when the
-    caller passes none) with a bounded ``(distance², index)`` max-heap
-    per query, O(log |P|) sites per query instead of all of them.  A
+    The one kNN search behind :func:`build_nlcs`, the streamed builds
+    and :func:`repro.core.queries.knn_sites`, at every site count.  The
+    hot path is the compiled ``knn_tree_search`` kernel: a depth-first
+    search of the sites' :class:`SiteTree` (``tree``, which must index
+    exactly ``points``, or one built here when the caller passes none)
+    with a bounded ``(distance², index)`` max-heap per query,
+    O(log |P|) sites per query instead of all of them.  A
     node is pruned only when its box distance², grouped like a site's
     ``dx*dx + dy*dy``, is strictly greater than the current k-th
     distance²; monotone IEEE rounding keeps that bound at or below the
@@ -427,7 +365,8 @@ def knn_chunked(queries: np.ndarray, points: np.ndarray, k: int,
     the exact answer, and no distance tie, is ever skipped.  With
     ``REPRO_NO_CKERNEL=1`` or when the kernel is unavailable, the numpy
     ``argpartition`` scan of every site computes bit-identical results,
-    chunked to bound its scratch at ``_BRUTE_CHUNK * |points|`` floats.
+    chunked to bound its scratch at ``_SCAN_ELEMENTS`` (query, site)
+    pairs.
     On both paths each row's ``k`` winners follow the deterministic
     ``(distance, index)`` tie-break — equidistant sites always resolve
     to the lowest index, even when the tie straddles the selection
@@ -448,9 +387,10 @@ def knn_chunked(queries: np.ndarray, points: np.ndarray, k: int,
     if kernel is not None:
         if tree is None:
             tree = SiteTree(points, kernel)
-        elif len(tree) != n_points:
-            raise ValueError(
-                f"site index holds {len(tree)} sites, not {n_points}")
+        elif tree.points is not points and not (
+                len(tree) == n_points
+                and np.array_equal(tree.xy, points[tree.idx])):
+            raise ValueError("site index was built over other sites")
         rc = kernel.search(queries.ctypes.data, n, tree.xy.ctypes.data,
                            tree.idx.ctypes.data, n_points,
                            tree.boxes.ctypes.data, tree.depth, k,
@@ -467,19 +407,22 @@ def knn_chunked(queries: np.ndarray, points: np.ndarray, k: int,
 def _knn_chunked_numpy(queries: np.ndarray, points: np.ndarray, k: int,
                        dists: np.ndarray, indices: np.ndarray) -> None:
     """Numpy fallback body of :func:`knn_chunked` (fills ``dists`` /
-    ``indices`` in place)."""
+    ``indices`` in place).  Each chunk scans at most ``_BRUTE_CHUNK``
+    rows and at most ``_SCAN_ELEMENTS`` (query, site) pairs, one row at
+    the least."""
     n = queries.shape[0]
     n_points = points.shape[0]
+    step = max(1, min(_BRUTE_CHUNK, _SCAN_ELEMENTS // n_points))
     px = points[:, 0]
     py = points[:, 1]
     # One row-index column vector for every full chunk; only the final
     # partial chunk needs a shorter slice of it.
-    rows = np.arange(min(_BRUTE_CHUNK, n), dtype=np.int64)[:, None]
+    rows = np.arange(min(step, n), dtype=np.int64)[:, None]
     full_tile = (np.tile(np.arange(n_points, dtype=np.int64),
-                         (min(_BRUTE_CHUNK, n), 1))
+                         (min(step, n), 1))
                  if k >= n_points else None)
-    for start in range(0, n, _BRUTE_CHUNK):
-        stop = min(start + _BRUTE_CHUNK, n)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
         chunk = queries[start:stop]
         dx = chunk[:, 0:1] - px[None, :]
         dy = chunk[:, 1:2] - py[None, :]
@@ -520,25 +463,3 @@ def _fix_boundary_ties(d2: np.ndarray, sel_idx: np.ndarray,
         full = np.argsort(d2[row], kind="stable")[:k]
         sel_idx[row] = full
         sel_d2[row] = d2[row, full]
-
-
-def _knn_kdtree(
-        queries: np.ndarray, points: np.ndarray, k: int,
-        tree: KnnTree | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    if not isinstance(tree, KDTree):
-        tree = KDTree(points)
-    _NLC_QUERIES.add(queries.shape[0])
-    return tree.query_batch(queries, k)
-
-
-def _knn_rtree(
-        queries: np.ndarray, points: np.ndarray, k: int,
-        tree: KnnTree | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    if not isinstance(tree, RTree):
-        tree = RTree.bulk_load(
-            (Rect(float(x), float(y), float(x), float(y)), i)
-            for i, (x, y) in enumerate(points))
-    _NLC_QUERIES.add(queries.shape[0])
-    return tree.nearest_batch(queries, k)

@@ -28,7 +28,6 @@ simply lacks their timings.
 from __future__ import annotations
 
 import os
-import sys
 import time
 from typing import Any
 
@@ -153,7 +152,7 @@ class SolverPipeline:
         counters.update(obs_metrics.REGISTRY.delta_since(before))
         report.counters = counters
         report.gauges.update(obs_metrics.REGISTRY.gauges_snapshot())
-        rss = _peak_rss_bytes()
+        rss = obs_metrics.peak_rss_bytes()
         if rss is not None:
             report.gauges["peak_rss_bytes"] = rss
 
@@ -221,45 +220,30 @@ class SolverPipeline:
             solver.external_store = owner
 
 
-def _peak_rss_bytes() -> float | None:
-    """Process peak resident-set size in bytes, or None where the
-    ``resource`` module is unavailable (non-POSIX platforms)."""
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - Windows
-        return None
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # ru_maxrss is KiB on Linux but bytes on macOS.
-    scale = 1 if sys.platform == "darwin" else 1024
-    return float(peak * scale)
-
-
 class _NlcStageMixin:
     """Shared ``build_nlcs`` stage: every solver starts from the NLC set."""
 
-    #: (sites, method, tree) of the last build, reused when a pipeline
-    #: instance runs repeatedly over the same site set (benchmark
-    #: repeats, parameter sweeps).  Holding the sites array keeps its
-    #: identity stable for the ``is`` check.
-    _site_tree_cache: tuple[Any, str, Any] | None = None
+    #: (sites, tree) of the last build, reused when a pipeline instance
+    #: runs repeatedly over the same site set (benchmark repeats,
+    #: parameter sweeps).  Holding the sites array keeps its identity
+    #: stable for the ``is`` check.
+    _site_tree_cache: tuple[Any, Any] | None = None
 
-    def _site_tree(self, ctx: PipelineContext, method: str) -> Any:
+    def _site_tree(self, ctx: PipelineContext) -> Any:
         cached = self._site_tree_cache
         sites = ctx.problem.sites
-        if cached is not None and cached[0] is sites and cached[1] == method:
-            return cached[2]
-        tree = build_knn_tree(sites, method)
-        self._site_tree_cache = (sites, method, tree)
+        if cached is not None and cached[0] is sites:
+            return cached[1]
+        tree = build_knn_tree(sites)
+        self._site_tree_cache = (sites, tree)
         return tree
 
     def _build_nlcs_stage(self, ctx: PipelineContext, *,
-                          method: str = "auto",
                           keep_zero_score: bool = False,
                           degenerate_stats: MaxFirstStats | None = None
                           ) -> None:
-        ctx.nlcs = build_nlcs(ctx.problem, method=method,
-                              keep_zero_score=keep_zero_score,
-                              tree=self._site_tree(ctx, method))
+        ctx.nlcs = build_nlcs(ctx.problem, keep_zero_score=keep_zero_score,
+                              tree=self._site_tree(ctx))
         ctx.report.meta["n_nlcs"] = len(ctx.nlcs)
         self._publish_store(ctx)
         if len(ctx.nlcs) == 0:
@@ -286,8 +270,7 @@ class MaxFirstPipeline(_NlcStageMixin, SolverPipeline):
 
     def build_nlcs(self, ctx: PipelineContext) -> None:
         self._build_nlcs_stage(
-            ctx, method=self.solver.nlc_method,
-            keep_zero_score=self.solver.keep_zero_score_nlcs,
+            ctx, keep_zero_score=self.solver.keep_zero_score_nlcs,
             degenerate_stats=MaxFirstStats())
 
     def index(self, ctx: PipelineContext) -> None:
@@ -335,8 +318,7 @@ class ShardedMaxFirstPipeline(_NlcStageMixin, SolverPipeline):
     def build_nlcs(self, ctx: PipelineContext) -> None:
         inner = self.solver._solver
         self._build_nlcs_stage(
-            ctx, method=inner.nlc_method,
-            keep_zero_score=inner.keep_zero_score_nlcs,
+            ctx, keep_zero_score=inner.keep_zero_score_nlcs,
             degenerate_stats=MaxFirstStats())
 
     def index(self, ctx: PipelineContext) -> None:
@@ -395,8 +377,7 @@ class MaxOverlapPipeline(_NlcStageMixin, SolverPipeline):
 
     def build_nlcs(self, ctx: PipelineContext) -> None:
         self._build_nlcs_stage(
-            ctx, method=self.solver.nlc_method,
-            keep_zero_score=self.solver.keep_zero_score_nlcs)
+            ctx, keep_zero_score=self.solver.keep_zero_score_nlcs)
         if ctx.result is not None:
             ctx.result = MaxOverlapResult(
                 score=0.0, regions=(), nlcs=ctx.nlcs,

@@ -171,7 +171,7 @@ class ShardedMaxFirst:
     def solve(self, problem: MaxBRkNNProblem) -> MaxBRkNNResult:
         """Full pipeline: NLC construction, sharded Phase I, Phase II."""
         t0 = time.perf_counter()
-        nlcs = build_nlcs(problem, method=self._solver.nlc_method,
+        nlcs = build_nlcs(problem,
                           keep_zero_score=self._solver.keep_zero_score_nlcs)
         t1 = time.perf_counter()
         if len(nlcs) == 0:

@@ -18,8 +18,6 @@ import heapq
 import math
 from typing import Any, Callable, Iterable, Iterator
 
-import numpy as np
-
 from repro.geometry.rect import Rect
 from repro.obs import metrics as _obs_metrics
 
@@ -251,87 +249,6 @@ class RTree:
                          False, child))
         _NODE_VISITS.add(visits)
         return out
-
-    def nearest_batch(self, queries: np.ndarray,
-                      k: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """Batched kNN over integer-indexed point items:
-        ``(distances, indices)``, both ``(n_queries, k)``.
-
-        The batched counterpart of :meth:`nearest` for the NLC workload,
-        where items are site indices over degenerate rectangles.  One
-        vectorised descent per tree node: queries travel as an index
-        subset, a child is entered by every query whose current k-th
-        distance bound admits the child's MBR, and leaves score all
-        their entries against all arriving queries at once.  Requires
-        ``1 <= k <= len(self)`` and items convertible to ``int64``
-        (:class:`TypeError` otherwise).
-
-        Distances match :meth:`nearest` (MBR distance, exact for point
-        data); distance ties resolve to the *lowest item index* — the
-        brute engine's rule — where the scalar heap ties on insertion
-        order.  ``rtree_node_visits`` advances by the number of
-        (query, node) entries — deterministic for a fixed tree, but a
-        different total than the scalar best-first pop count.
-        """
-        if k < 1 or k > self._size:
-            raise ValueError(
-                f"k={k} out of range for {self._size} items")
-        queries = np.ascontiguousarray(queries, dtype=np.float64)
-        n = queries.shape[0]
-        best_d = np.full((n, k), np.inf, dtype=np.float64)
-        best_i = np.full((n, k), self._size, dtype=np.int64)
-        if n and self._root.rect is not None:
-            subset = np.arange(n, dtype=np.int64)
-            _NODE_VISITS.add(self._batch_nearest(
-                self._root, queries, subset, k, best_d, best_i))
-        return best_d, best_i
-
-    def _batch_nearest(self, node: _Node, queries: np.ndarray,
-                       subset: np.ndarray, k: int,
-                       best_d: np.ndarray, best_i: np.ndarray) -> int:
-        visits = subset.size
-        qx = queries[subset, 0]
-        qy = queries[subset, 1]
-        if node.is_leaf:
-            xmin = np.array([r.xmin for r, _ in node.entries],
-                            dtype=np.float64)
-            ymin = np.array([r.ymin for r, _ in node.entries],
-                            dtype=np.float64)
-            xmax = np.array([r.xmax for r, _ in node.entries],
-                            dtype=np.float64)
-            ymax = np.array([r.ymax for r, _ in node.entries],
-                            dtype=np.float64)
-            items = np.fromiter((item for _, item in node.entries),
-                                dtype=np.int64, count=len(node.entries))
-            # Clamped axis gaps, the Rect.min_distance_to_point form.
-            dx = np.maximum(np.maximum(xmin[None, :] - qx[:, None], 0.0),
-                            qx[:, None] - xmax[None, :])
-            dy = np.maximum(np.maximum(ymin[None, :] - qy[:, None], 0.0),
-                            qy[:, None] - ymax[None, :])
-            ld = np.hypot(dx, dy)
-            comb_d = np.concatenate([best_d[subset], ld], axis=1)
-            comb_i = np.concatenate(
-                [best_i[subset],
-                 np.broadcast_to(items[None, :], ld.shape)], axis=1)
-            order = np.lexsort((comb_i, comb_d), axis=1)[:, :k]
-            rows = np.arange(subset.size, dtype=np.int64)[:, None]
-            best_d[subset] = comb_d[rows, order]
-            best_i[subset] = comb_i[rows, order]
-            return visits
-        for child in node.entries:
-            rect = child.rect
-            if rect is None:
-                continue
-            dx = np.maximum(np.maximum(rect.xmin - qx, 0.0), qx - rect.xmax)
-            dy = np.maximum(np.maximum(rect.ymin - qy, 0.0), qy - rect.ymax)
-            # Re-read each query's bound per child: earlier siblings may
-            # have tightened it.
-            go = np.hypot(dx, dy) <= best_d[subset, k - 1]
-            sel = subset[go]
-            if sel.size:
-                visits += self._batch_nearest(child, queries, sel,
-                                              k, best_d, best_i)
-        return visits
 
     def items(self) -> Iterator[tuple[Rect, Any]]:
         """Iterate over all ``(rect, item)`` pairs."""

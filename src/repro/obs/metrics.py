@@ -19,6 +19,7 @@ mechanism behind per-tile counter capture in ``engine/outofcore.py``.
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from typing import Any, Iterator, Mapping
 
@@ -31,6 +32,7 @@ __all__ = [
     "REGISTRY",
     "counter",
     "gauge",
+    "peak_rss_bytes",
     "zeroed_counters",
 ]
 
@@ -57,7 +59,6 @@ COUNTER_KEYS: tuple[str, ...] = (
     "kernel_batches",
     "kernel_rects",
     "rtree_node_visits",
-    "kdtree_node_visits",
     "refine_pair_tests",
     "region_grows",
     "phase2_clips",
@@ -220,3 +221,15 @@ def zeroed_counters() -> dict[str, int]:
     layer every ``RunReport.counters`` starts from, so degenerate
     instances still report the full stable key set."""
     return dict.fromkeys(COUNTER_KEYS, 0)
+
+
+def peak_rss_bytes() -> float | None:
+    """Process peak resident-set size in bytes, or None where the
+    ``resource`` module is unavailable (non-POSIX platforms)."""
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - Windows
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is KiB on Linux but bytes on macOS.
+    return float(peak * (1 if sys.platform == "darwin" else 1024))

@@ -135,15 +135,14 @@ class InstanceRegistry:
         self._fallback_ids = itertools.count(1)
 
     def publish(self, problem: MaxBRkNNProblem, *,
-                store: str | None = None,
-                nlc_method: str = "auto") -> ServedInstance:
+                store: str | None = None) -> ServedInstance:
         """Publish ``problem``: build its NLC set once, copy it into the
         storage backend, and precompute the shared query state."""
         from repro import store as nlc_store
 
         backend = nlc_store.resolve_store_name(store or self._store)
         tree = build_knn_tree(problem.sites)
-        nlcs = build_nlcs(problem, method=nlc_method, tree=tree)
+        nlcs = build_nlcs(problem, tree=tree)
         if len(nlcs) == 0:
             # Degenerate (all-zero-weight) instance: nothing to store,
             # but the query operators still answer — register it with a

@@ -3,11 +3,11 @@
 The tree-pruned ``knn_tree_search`` C kernel and ``_knn_chunked_numpy``
 must agree bit-for-bit — distances AND indices — on every input,
 including tie-heavy grids where an argpartition boundary tie could
-silently pick a different (equal-distance) neighbour set, and site sets
+silently pick a different (equal-distance) neighbour set, site sets
 whose kd-tree boxes degenerate (duplicates, a zero-width axis, extents
-near the rounding floor).  CI runs this file on both
-``REPRO_NO_CKERNEL`` arms; under the gate the compiled branch is absent
-and the tests still pin the numpy body against the stable-argsort
+near the rounding floor), and site sets of any size.  CI runs this file
+on both ``REPRO_NO_CKERNEL`` arms; under the gate the compiled branch is
+absent and the tests still pin the numpy body against the stable-argsort
 reference.
 """
 
@@ -17,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import nlc as nlc_mod
-from repro.core.nlc import (build_knn_tree, build_nlcs_streaming,
-                            knn_chunked, knn_distances_indices,
-                            stream_nlc_chunks)
+from repro.core.nlc import (build_knn_tree, build_nlcs,
+                            build_nlcs_streaming, knn_chunked,
+                            knn_distances, stream_nlc_chunks)
 from repro.core.problem import MaxBRkNNProblem
 from repro.index._ckernel import load_knn_kernel
 from repro.obs import metrics as obs_metrics
@@ -108,26 +108,62 @@ class TestChunking:
         assert box["counters"]["nlc_build_queries"] == 40
         assert box["counters"]["nlc_build_chunks"] == 1
 
+    @pytest.mark.parametrize("k", [3, 11])
+    def test_scan_caps_rows_by_the_element_budget(self, monkeypatch, rng,
+                                                   k):
+        """With a small (query, site) budget the numpy scan takes fewer
+        rows per chunk, never more pairs than the budget, and still
+        equals the reference; the chunk counter keeps its formula."""
+        monkeypatch.setattr(nlc_mod, "_SCAN_ELEMENTS", 40)
+        scanned = []
+        real_fix = nlc_mod._fix_boundary_ties
+
+        def recording_fix(d2, sel_idx, sel_d2):
+            scanned.append(d2.size)
+            real_fix(d2, sel_idx, sel_d2)
+
+        monkeypatch.setattr(nlc_mod, "_fix_boundary_ties", recording_fix)
+        monkeypatch.setattr(nlc_mod, "load_knn_kernel", lambda: None)
+        queries, points = tie_heavy_instance(rng, 23, 11)  # 3 rows a chunk
+        with obs_metrics.REGISTRY.isolated() as box:
+            dists, idx = knn_chunked(queries, points, k)
+        ref_d, ref_i = reference_knn(queries, points, k)
+        assert dists.tobytes() == ref_d.tobytes()
+        assert idx.tobytes() == ref_i.tobytes()
+        assert box["counters"]["nlc_build_chunks"] == 1
+        if k < points.shape[0]:
+            assert len(scanned) == 8 and max(scanned) <= 40
+
 
 class TestIndicesPlumbing:
-    @pytest.mark.parametrize("method", ["brute", "kdtree", "rtree"])
-    def test_engines_return_identical_indices(self, rng, method):
-        """The _knn_brute fix: indices flow out of every engine and all
-        three agree exactly (ties to the lowest site index)."""
-        queries, points = tie_heavy_instance(rng, 80, 30)
-        with obs_metrics.REGISTRY.isolated():
-            dists, idx = knn_distances_indices(queries, points, 4,
-                                               method=method)
-        ref_d, ref_i = reference_knn(queries, points, 4)
-        assert idx.tobytes() == ref_i.tobytes()
-        np.testing.assert_allclose(dists, ref_d, rtol=1e-12, atol=1e-12)
-
     def test_invalid_k_raises(self, rng):
         pts = rng.random((5, 2))
-        with pytest.raises(ValueError):
-            knn_distances_indices(pts, pts, 0)
-        with pytest.raises(ValueError):
-            knn_distances_indices(pts, pts, 6)
+        for search in (knn_chunked, knn_distances):
+            with pytest.raises(ValueError):
+                search(pts, pts, 0)
+            with pytest.raises(ValueError):
+                search(pts, pts, 6)
+
+
+class TestManySites:
+    def test_radii_match_reference_above_4096_sites(self, rng):
+        """Past the old 4096-site engine switch, NLC radii and
+        knn_chunked both equal the stable-argsort reference bit for bit
+        (an engine that computed radii with hypot moved ~1 in 6 by an
+        ulp)."""
+        customers = rng.random((3000, 2))
+        sites = rng.random((5000, 2))
+        problem = MaxBRkNNProblem(customers, sites, k=2)
+        ref = [reference_knn(customers[i:i + 500], sites, 2)
+               for i in range(0, 3000, 500)]
+        ref_d = np.concatenate([d for d, _ in ref])
+        ref_i = np.concatenate([i for _, i in ref])
+        with obs_metrics.REGISTRY.isolated():
+            nlcs = build_nlcs(problem, keep_zero_score=True)
+            dists, idx = knn_chunked(customers, sites, 2)
+        assert nlcs.r.tobytes() == ref_d.tobytes()
+        assert dists.tobytes() == ref_d.tobytes()
+        assert idx.tobytes() == ref_i.tobytes()
 
 
 # ---------------------------------------------------------------------- #
@@ -193,7 +229,7 @@ class TestPrunedKernelStress:
         """The index from build_knn_tree (reused across calls, as the
         streamed build and the pipeline do) answers like a fresh one."""
         queries, points, k = case
-        tree = build_knn_tree(points, "brute")
+        tree = build_knn_tree(points)
         with obs_metrics.REGISTRY.isolated():
             first = knn_chunked(queries, points, k, tree=tree)
             again = knn_chunked(queries[::-1], points, k, tree=tree)
@@ -214,7 +250,7 @@ class TestPrunedKernelStress:
 
 class TestSiteIndex:
     def test_index_exists_only_on_the_compiled_arm(self, rng):
-        tree = build_knn_tree(rng.random((50, 2)), "brute")
+        tree = build_knn_tree(rng.random((50, 2)))
         if load_knn_kernel() is None:
             assert tree is None
         else:
@@ -224,10 +260,43 @@ class TestSiteIndex:
     def test_index_over_another_site_set_is_rejected(self, rng):
         if load_knn_kernel() is None:
             pytest.skip("the numpy scan takes no site index")
-        tree = build_knn_tree(rng.random((10, 2)), "brute")
+        tree = build_knn_tree(rng.random((10, 2)))
         with pytest.raises(ValueError, match="site index"):
             knn_chunked(rng.random((4, 2)), rng.random((11, 2)), 2,
                         tree=tree)
+
+    @pytest.mark.parametrize("entry", ["build_nlcs", "knn_distances",
+                                       "stream", "streaming"])
+    def test_index_over_other_sites_of_equal_count_is_rejected(self, rng,
+                                                               entry):
+        """A tree over 50 sites near (0.5, 0.5) must not answer for 50
+        other sites near (5.5, 5.5), whatever entry point it reaches."""
+        if load_knn_kernel() is None:
+            pytest.skip("the numpy scan takes no site index")
+        customers = rng.random((30, 2)) + 5.0
+        sites = rng.random((50, 2)) + 5.0
+        tree = build_knn_tree(rng.random((50, 2)))
+        problem = MaxBRkNNProblem(customers, sites, k=1)
+        with obs_metrics.REGISTRY.isolated(), \
+                pytest.raises(ValueError, match="site index"):
+            if entry == "build_nlcs":
+                build_nlcs(problem, tree=tree)
+            elif entry == "knn_distances":
+                knn_distances(customers, sites, 1, tree=tree)
+            elif entry == "stream":
+                list(stream_nlc_chunks([customers], sites, 1, tree=tree))
+            else:
+                build_nlcs_streaming(problem, store="ram", tree=tree)
+
+    def test_index_over_an_equal_copy_is_accepted(self, rng):
+        sites = rng.random((50, 2))
+        queries = rng.random((20, 2))
+        tree = build_knn_tree(sites)
+        with obs_metrics.REGISTRY.isolated():
+            got = knn_chunked(queries, sites.copy(), 3, tree=tree)
+        ref_d, ref_i = reference_knn(queries, sites, 3)
+        assert got[0].tobytes() == ref_d.tobytes()
+        assert got[1].tobytes() == ref_i.tobytes()
 
     @pytest.mark.parametrize("entry", ["stream", "problem"])
     def test_streamed_build_prepares_the_index_once(self, monkeypatch,

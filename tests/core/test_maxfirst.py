@@ -37,6 +37,13 @@ class TestConstructorValidation:
         with pytest.raises(ValueError):
             MaxFirst(resolution_fraction=-1.0)
 
+    @pytest.mark.parametrize("option", ["tie_tol", "resolution_fraction",
+                                        "epsilon"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_options(self, option, value):
+        with pytest.raises(ValueError, match="finite"):
+            MaxFirst(**{option: value})
+
     def test_empty_nlcs_raises(self):
         empty = CircleSet(np.zeros(0), np.zeros(0), np.zeros(0),
                           np.zeros(0))

@@ -1,4 +1,4 @@
-"""Tests for repro.core.nlc (kNN engines and NLC construction)."""
+"""Tests for repro.core.nlc (the kNN search and NLC construction)."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro import store as nlc_store
 from repro.core.nlc import (build_nlcs, build_nlcs_streaming, knn_distances,
-                            nlc_space)
+                            nlc_space, stream_nlc_chunks)
 from repro.core.probability import ProbabilityModel
 from repro.core.problem import MaxBRkNNProblem
 
@@ -22,35 +22,14 @@ class TestKnnDistances:
         with pytest.raises(ValueError):
             knn_distances(pts, pts, 6)
 
-    def test_unknown_method(self, rng):
-        pts = rng.random((5, 2))
-        with pytest.raises(ValueError):
-            knn_distances(pts, pts, 1, method="quantum")
-
-    @pytest.mark.parametrize("method", ["brute", "kdtree", "rtree"])
-    def test_engines_match_reference(self, rng, method):
+    def test_matches_reference(self, rng):
         queries = rng.random((40, 2))
         points = rng.random((25, 2))
         for k in (1, 3, 25):
-            got = knn_distances(queries, points, k, method=method)
+            got = knn_distances(queries, points, k)
             expected = brute_knn_distances(queries, points, k)
             np.testing.assert_allclose(got, expected, rtol=1e-9,
                                        atol=1e-12)
-
-    def test_engines_agree_pairwise(self, rng):
-        queries = rng.random((60, 2))
-        points = rng.random((80, 2))
-        results = {m: knn_distances(queries, points, 4, method=m)
-                   for m in ("brute", "kdtree", "rtree")}
-        np.testing.assert_allclose(results["brute"], results["kdtree"])
-        np.testing.assert_allclose(results["brute"], results["rtree"])
-
-    def test_auto_selects_and_works(self, rng):
-        queries = rng.random((10, 2))
-        points = rng.random((20, 2))
-        got = knn_distances(queries, points, 2, method="auto")
-        np.testing.assert_allclose(got,
-                                   brute_knn_distances(queries, points, 2))
 
     def test_distances_sorted_per_row(self, rng):
         d = knn_distances(rng.random((30, 2)), rng.random((15, 2)), 5)
@@ -62,7 +41,7 @@ class TestKnnDistances:
         rng = np.random.default_rng(seed)
         queries = rng.random((7, 2)) * 10
         points = rng.random((9, 2)) * 10
-        got = knn_distances(queries, points, 3, method="brute")
+        got = knn_distances(queries, points, 3)
         np.testing.assert_allclose(
             got, brute_knn_distances(queries, points, 3))
 
@@ -161,6 +140,33 @@ class TestBuildNlcs:
         p = MaxBRkNNProblem([(1.0, 1.0)], [(1.0, 1.0), (5, 5)], k=1)
         nlcs = build_nlcs(p)
         assert nlcs.r[0] == 0.0
+
+
+class TestStreamNlcChunks:
+    @pytest.fixture
+    def chunks(self, rng):
+        customers = rng.random((30, 2))
+        return [customers[i:i + 10] for i in range(0, 30, 10)]
+
+    def test_weight_chunks_pair_with_customer_chunks(self, rng, chunks):
+        sites = rng.random((6, 2))
+        weights = [np.full(10, float(j + 1)) for j in range(3)]
+        out = list(stream_nlc_chunks(chunks, sites, 1,
+                                     weight_chunks=iter(weights)))
+        assert [chunk[3].tolist() for chunk in out] == [
+            w.tolist() for w in weights]
+
+    def test_fewer_weight_chunks_is_an_error(self, rng, chunks):
+        weights = [np.ones(10)] * 2
+        with pytest.raises(ValueError, match="fewer weight chunks"):
+            list(stream_nlc_chunks(chunks, rng.random((6, 2)), 1,
+                                   weight_chunks=weights))
+
+    def test_more_weight_chunks_is_an_error(self, rng, chunks):
+        weights = [np.ones(10)] * 4
+        with pytest.raises(ValueError, match="more weight chunks"):
+            list(stream_nlc_chunks(chunks, rng.random((6, 2)), 1,
+                                   weight_chunks=weights))
 
 
 class TestNlcSpace:

@@ -72,3 +72,15 @@ class TestAnytimeErrors:
                 [AnytimeSolveRequest(instance_id, -0.5)])
             assert isinstance(response, ErrorResponse)
             assert "epsilon" in response.message
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_non_finite_epsilon_is_a_request_error(self, serve_problem,
+                                                   epsilon):
+        """In process, past the wire decoder: a NaN epsilon must not
+        run as an exact solve."""
+        with QueryService(store="ram") as service:
+            instance_id = service.publish(serve_problem).instance_id
+            (response,) = service.execute(
+                [AnytimeSolveRequest(instance_id, epsilon)])
+            assert isinstance(response, ErrorResponse)
+            assert "epsilon" in response.message
