@@ -4,7 +4,7 @@ Times Phase I + merge (``solve_nlcs``; NLC construction excluded) over
 the fig11 uniform sweep plus the fig13 sizes (both distributions),
 comparing:
 
-* ``unsharded`` — the one-process ``hotpath=batched`` solver, the
+* ``unsharded`` — the one-process ``MaxFirst`` solver, the
   identity baseline;
 * ``serial``    — 4-way tile-sharded execution in-process, in tile
   order.  Its overhead against ``unsharded`` is the headline: the tile

@@ -257,10 +257,9 @@ class _CircleGrid:
     """Bins circle bounding boxes into a uniform grid, fully vectorised.
 
     Produces (1) all intersecting circle pairs, each exactly once, and
-    (2) batched coverage scores for candidate points.  The pure-object
-    :class:`~repro.index.grid.UniformGrid` provides the same service for
-    generic items; this variant avoids per-circle Python objects because
-    MaxOverlap routinely handles 10^5 NLCs.
+    (2) batched coverage scores for candidate points.  It keeps no
+    per-circle Python objects, because MaxOverlap routinely handles
+    10^5 NLCs.
     """
 
     def __init__(self, nlcs: CircleSet, target_per_cell: float) -> None:

@@ -58,7 +58,6 @@ from repro.core.region import (OptimalRegion, compute_optimal_region,
                                found_regions, keep_top_t, select_found)
 from repro.core.result import MaxBRkNNResult
 from repro.geometry.circle import circle_circle_intersection
-from repro.geometry.intersection import disks_common_point
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.index.circleset import CircleSet
@@ -69,14 +68,6 @@ from repro.obs.trace import span
 # tessellation grows exponentially with depth), so there is no "off" mode.
 _THEOREM3_MODES = ("subset", "equality")
 
-# "batched" classifies a split's whole child frontier in one kernel call
-# and runs Theorem 3 on cached cover bitmaps; "legacy" is the original
-# one-classify-per-child / frozenset-algebra hot path, kept as the
-# baseline arm of benchmarks/bench_phase1_hotpath.py (both paths produce
-# identical scores, regions, and stats — asserted by tests and by the
-# harness itself).
-_HOTPATHS = ("batched", "legacy")
-
 # Unit roundoff of float64; sizes the Theorem 3 score-sum margin so it
 # dominates worst-case summation error for any cover size.
 _FLOAT_EPS = float(np.finfo(np.float64).eps)
@@ -86,27 +77,23 @@ class _FoundCovers:
     """Registry of found-region covers behind the Theorem 3 tests.
 
     The solver consults it on (almost) every pop, so representation
-    matters.  In array mode each cover is stored as a membership bitmap
-    over the NLC index space plus its size and score sum; the subset
-    test ``Q.I ⊆ cover`` is then a vectorised gather-and-all with two
-    early exits — on cardinality (a strictly larger ``Q.I`` cannot be a
+    matters.  Each cover is stored as a membership bitmap over the NLC
+    index space plus its size and score sum; the subset test
+    ``Q.I ⊆ cover`` is then a vectorised gather-and-all with two early
+    exits — on cardinality (a strictly larger ``Q.I`` cannot be a
     subset; exact) and on score sums (``m̂ax`` above the cover's sum
     rules the subset out for non-negative scores; guarded by a margin
     sized from the summand counts so it provably dominates worst-case
-    float-summation error).  Frozenset mode reproduces the
-    original per-pop ``frozenset`` algebra for the ``legacy`` hot path.
+    float-summation error).
     """
 
-    def __init__(self, n_nlcs: int, use_arrays: bool,
-                 scores_nonneg: bool) -> None:
+    def __init__(self, n_nlcs: int, scores_nonneg: bool) -> None:
         self._n = n_nlcs
-        self._use_arrays = use_arrays
         self._scores_nonneg = scores_nonneg
         self._keys: set[tuple[int, ...]] = set()
         self._masks: list[np.ndarray] = []
         self._sizes: list[int] = []
         self._sums: list[float] = []
-        self._frozen: list[frozenset[int]] = []
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -138,15 +125,12 @@ class _FoundCovers:
         self._keys.add(cover)
         if members is None:
             members = cover
-        if self._use_arrays:
-            mask = np.zeros(self._n, dtype=bool)
-            if members:
-                mask[np.asarray(members, dtype=np.int64)] = True
-            self._masks.append(mask)
-            self._sizes.append(len(cover))
-            self._sums.append(float(score_sum))
-        else:
-            self._frozen.append(frozenset(cover))
+        mask = np.zeros(self._n, dtype=bool)
+        if members:
+            mask[np.asarray(members, dtype=np.int64)] = True
+        self._masks.append(mask)
+        self._sizes.append(len(cover))
+        self._sums.append(float(score_sum))
         return True
 
     def prunes(self, quad: Quadrant, mode: str) -> bool:
@@ -154,11 +138,6 @@ class _FoundCovers:
         ``equality`` mode, equal to) a found cover?"""
         if not self._keys:
             return False
-        if not self._use_arrays:
-            inter = frozenset(int(i) for i in quad.intersecting)
-            if mode == "equality":
-                return any(inter == cover for cover in self._frozen)
-            return any(inter <= cover for cover in self._frozen)
         inter = quad.intersecting
         m = inter.shape[0]
         if mode == "equality":
@@ -190,10 +169,6 @@ class _FoundCovers:
         generalized Theorem 3 used by the compatibility refinement."""
         if not self._keys:
             return False
-        if not self._use_arrays:
-            combined = (frozenset(int(i) for i in containing)
-                        | frozenset(clique))
-            return any(combined <= cover for cover in self._frozen)
         clique_idx = np.asarray(list(clique), dtype=np.int64)
         return any(bool(mask[containing].all())
                    and bool(mask[clique_idx].all())
@@ -247,13 +222,6 @@ class MaxFirst:
         ~16, degeneracy chases exceed 25.
     keep_zero_score_nlcs:
         Passed through to :func:`repro.core.nlc.build_nlcs`.
-    hotpath:
-        ``"batched"`` (default): classify each split's whole child
-        frontier in one batched kernel call and run Theorem 3 against
-        cached cover bitmaps.  ``"legacy"``: the original per-child
-        classification and per-pop frozenset algebra — kept solely as
-        the baseline arm of ``benchmarks/bench_phase1_hotpath.py``; both
-        paths produce identical results and stats.
     epsilon:
         Anytime mode (``top_t == 1`` only).  With ``epsilon > 0`` Phase I
         stops at the first pop whose ``m̂ax`` — the certified global
@@ -276,7 +244,6 @@ class MaxFirst:
                  resolution_fraction: float = 1e-9,
                  degeneracy_depth: int = 20,
                  keep_zero_score_nlcs: bool = False,
-                 hotpath: str = "batched",
                  epsilon: float = 0.0,
                  max_iterations: int | None = None) -> None:
         if m_threshold < 1:
@@ -286,9 +253,6 @@ class MaxFirst:
         if theorem3 not in _THEOREM3_MODES:
             raise ValueError(
                 f"theorem3 must be one of {_THEOREM3_MODES}, got {theorem3!r}")
-        if hotpath not in _HOTPATHS:
-            raise ValueError(
-                f"hotpath must be one of {_HOTPATHS}, got {hotpath!r}")
         if top_t < 1:
             raise ValueError("top_t must be positive")
         if not all(map(math.isfinite,
@@ -312,7 +276,6 @@ class MaxFirst:
         self.resolution_fraction = resolution_fraction
         self.degeneracy_depth = degeneracy_depth
         self.keep_zero_score_nlcs = keep_zero_score_nlcs
-        self.hotpath = hotpath
         self.epsilon = epsilon
         self.max_iterations = max_iterations
         #: Certified global upper bound of the most recent Phase I run:
@@ -524,12 +487,10 @@ class MaxFirst:
         # the paper's MaxMin (raised by any quadrant's m̂in).
         frontier: list[float] = []
         accepted: list[Quadrant] = []
-        batched = self.hotpath == "batched"
         if scores_nonneg is None:
             scores_nonneg = (bool(len(nlcs))
                              and bool((nlcs.scores >= 0.0).all()))
-        found_covers = _FoundCovers(len(nlcs), use_arrays=batched,
-                                    scores_nonneg=scores_nonneg)
+        found_covers = _FoundCovers(len(nlcs), scores_nonneg=scores_nonneg)
         if seed_covers is not None:
             # 2-tuples ``(cover, score_sum)`` from whole-set callers;
             # tile searches over a halo add a third ``members`` element
@@ -730,29 +691,22 @@ class MaxFirst:
             else:
                 children = quad.rect.split_center()
             child_rects = _echo_free_children(quad.rect, children)
-            if batched:
-                # One kernel call classifies the whole child frontier
-                # against the shared parent candidates; the bookkeeping
-                # runs batched too (max_min is only read at pop time, so
-                # raising it before the pushes is equivalent to the
-                # interleaved per-child updates).
-                children_q = backend.classify_batch(
-                    child_rects, quad.intersecting, quad.depth + 1)
-                stats.generated += len(children_q)
-                if quad.depth + 1 > stats.max_depth:
-                    stats.max_depth = quad.depth + 1
-                if self.top_t == 1:
-                    for child in children_q:
-                        if child.min_hat > max_min:
-                            max_min = child.min_hat
-                            incumbent = child
+            # One kernel call classifies the whole child frontier against
+            # the shared parent candidates; the bookkeeping runs batched
+            # too (max_min is only read at pop time, so raising it before
+            # the pushes is equivalent to per-child updates).
+            children_q = backend.classify_batch(
+                child_rects, quad.intersecting, quad.depth + 1)
+            stats.generated += len(children_q)
+            if quad.depth + 1 > stats.max_depth:
+                stats.max_depth = quad.depth + 1
+            if self.top_t == 1:
                 for child in children_q:
-                    heapq.heappush(
-                        heap, (-child.max_hat, next(counter), child))
-            else:
-                for child_rect in child_rects:
-                    push(backend.classify(child_rect, quad.intersecting,
-                                          quad.depth + 1))
+                    if child.min_hat > max_min:
+                        max_min = child.min_hat
+                        incumbent = child
+            for child in children_q:
+                heapq.heappush(heap, (-child.max_hat, next(counter), child))
 
         if self.top_t == 1:
             final = max_min
@@ -809,7 +763,7 @@ class MaxFirst:
         refinement = refine_quadrant(
             nlcs, quad.boundary_only, quad.rect,
             base_score=quad.min_hat, value_floor=max_min - tol,
-            tol=resolution, vectorized=self.hotpath == "batched")
+            tol=resolution)
         if refinement is None:
             return ("split", None)
         if refinement.refined_max < max_min - tol:
@@ -879,15 +833,9 @@ class MaxFirst:
         tolerance only decides whether the cheap point split fires or the
         quadrant tessellates to the resolution floor.
         """
-        boundary = quad.boundary_only
-        if len(boundary) < 2:
-            return None
         rect = quad.rect
         tol = max(resolution, min(rect.width, rect.height) / 16.0)
-        if self.hotpath == "batched":
-            p = self._disks_common_point_arrays(nlcs, boundary, tol)
-        else:
-            p = disks_common_point(nlcs.circles(boundary), tol=tol)
+        p = self._disks_common_point_arrays(nlcs, quad.boundary_only, tol)
         if p is None:
             return None
         if not (rect.xmin < p.x < rect.xmax and rect.ymin < p.y < rect.ymax):
@@ -897,13 +845,16 @@ class MaxFirst:
     @staticmethod
     def _disks_common_point_arrays(nlcs: CircleSet, boundary: np.ndarray,
                                    tol: float) -> Point | None:
-        """Array-backed :func:`disks_common_point` over NLC indices.
+        """A point where the circumferences of all ``boundary`` NLCs meet
+        within ``tol``, or ``None`` (always for fewer than two).
 
-        Same construction — candidate points from the first two
-        circumferences, then an every-circle membership test — but the
-        membership test is one vectorised pass instead of a Circle-object
-        loop (boundary sets near the root hold thousands of disks).
+        Candidate points come from the first two circumferences; each is
+        then tested against every other circle in one vectorised pass
+        (boundary sets near the root hold thousands of disks).  Unlike
+        interior membership, the point must lie *on* every circle.
         """
+        if len(boundary) < 2:
+            return None
         candidates = circle_circle_intersection(
             nlcs.circle(int(boundary[0])), nlcs.circle(int(boundary[1])),
             tol)

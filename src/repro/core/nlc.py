@@ -147,6 +147,17 @@ def build_nlcs(problem: MaxBRkNNProblem, keep_zero_score: bool = False,
                          owners=empty_i, levels=empty_i)
     dists = knn_distances(problem.customers, problem.sites, problem.k,
                           tree=tree)
+    return nlcs_from_distances(problem, dists, keep_zero_score)
+
+
+def nlcs_from_distances(problem: MaxBRkNNProblem, dists: np.ndarray,
+                        keep_zero_score: bool = False) -> CircleSet:
+    """The scored NLC set of ``problem`` from its ``(n_customers, k)``
+    kNN distances: the assembly step of :func:`build_nlcs`, for callers
+    that ran :func:`knn_chunked` themselves and keep its indices too.
+    An all-zero-weight instance yields an empty set unless
+    ``keep_zero_score``.
+    """
     score_rows = _score_rows(problem.models, problem.k, {})
     cx, cy, radii, scores, owners, levels = nlc_soa_chunk(
         problem.customers, problem.weights, score_rows, dists, 0,

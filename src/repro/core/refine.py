@@ -152,8 +152,8 @@ def _adjacency_vector(nlcs: CircleSet, boundary: np.ndarray, rect: Rect,
     Mirrors the scalar certificate arithmetic operation for operation —
     same subtractions, products and quotients in the same grouping — so
     both builders agree on every pair (asserted by a property test; the
-    scalar path stays the reference and the ``legacy`` hot path's
-    builder).  The matrix is symmetrised from its upper triangle, like
+    scalar path stays the reference and the builder for small boundary
+    sets).  The matrix is symmetrised from its upper triangle, like
     the scalar double loop that only evaluates ``a < b``.
 
     Degenerate concentric pairs (``d == 0``) divide by zero inside the
@@ -210,15 +210,14 @@ _VECTOR_ADJACENCY_MIN = 8
 
 def refine_quadrant(nlcs: CircleSet, boundary: np.ndarray, rect: Rect,
                     base_score: float, value_floor: float,
-                    tol: float, vectorized: bool = False
-                    ) -> Refinement | None:
+                    tol: float) -> Refinement | None:
     """Compatibility-refined upper bound for one quadrant.
 
     ``boundary`` indexes the disks in ``Q.I - Q.C``; ``base_score`` is
     ``sum(Q.C)``; ``value_floor`` is the score below which subsets are
-    irrelevant (the current MaxMin minus tolerance).  ``vectorized``
-    selects the batched adjacency builder for large boundary sets (the
-    solver enables it on the ``batched`` hot path).  Returns ``None``
+    irrelevant (the current MaxMin minus tolerance).  Boundary sets of
+    ``_VECTOR_ADJACENCY_MIN`` disks or more take the vectorised
+    adjacency builder, smaller ones the scalar pair loop.  Returns ``None``
     when refinement does not apply (too many disks, or no incompatible
     pair — then the refined bound would equal ``m̂ax``).
     """
@@ -226,7 +225,7 @@ def refine_quadrant(nlcs: CircleSet, boundary: np.ndarray, rect: Rect,
     if n < 2 or n > MAX_BOUNDARY_DISKS:
         return None
     _REFINE_PAIR_TESTS.add(n * (n - 1) // 2)
-    if vectorized and n >= _VECTOR_ADJACENCY_MIN:
+    if n >= _VECTOR_ADJACENCY_MIN:
         adj, any_incompatible = _adjacency_vector(nlcs, boundary, rect, tol)
     else:
         adj, any_incompatible = _adjacency_scalar(nlcs, boundary, rect, tol)

@@ -20,7 +20,7 @@ bounds are sums over index-sorted NLC subsets, and every shard classifies
 with the *global* space's graze tolerance, so a cover discovered in a
 shard produces bit-for-bit the same ``m̂in`` sum the single-process run
 computes for it — the merged optimal score and the deduplicated cover set
-are identical to the one-process ``hotpath=batched`` run (asserted in
+are identical to the one-process :class:`MaxFirst` run (asserted in
 every mode by ``tests/engine/test_sharded_identity.py`` and on every
 timed point of ``benchmarks/bench_sharding.py``).
 
@@ -210,7 +210,16 @@ class ShardedMaxFirst:
 
     def execute(self, nlcs: CircleSet,
                 plan: StreamPlan) -> list[TileOutput]:
-        """Run Phase I over every planned tile."""
+        """Run Phase I over every planned tile.
+
+        Raises ``ValueError`` when ``plan`` was made over a different
+        number of rows than ``nlcs`` holds: its halos name rows of
+        another set, and solving with them drops or misreads disks.
+        """
+        if plan.rows != len(nlcs):
+            raise ValueError(
+                f"plan was made over {plan.rows} rows, the NLC set has "
+                f"{len(nlcs)}")
         if plan.n_shards == 0:
             return []
         _SHARD_TASKS.add(plan.n_shards)

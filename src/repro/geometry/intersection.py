@@ -211,27 +211,6 @@ class IncrementalDiskIntersection:
         raise DisjointDisksError("the disks have no common point")
 
 
-def disks_common_point(circles: Sequence[Circle],
-                       tol: float = 1e-9) -> Point | None:
-    """A point where *all* circle circumferences meet, if one exists.
-
-    This is the detector for the intersection-point problem (Algorithm 1,
-    lines 26-27): when the NLCs in ``Q.I - Q.C`` all pass through one point
-    ``p`` inside ``Q``, the quadrant must be split at ``p`` or the regular
-    centre split recurses forever.  Unlike :func:`_common_point` (interior
-    membership), this requires the point to lie on every circumference
-    within ``tol``.
-    """
-    if len(circles) < 2:
-        return None
-    candidates = circle_circle_intersection(circles[0], circles[1], tol)
-    for p in candidates:
-        if all(abs(c.distance_to_center(p.x, p.y) - c.r) <= tol
-               for c in circles[2:]):
-            return p
-    return None
-
-
 def _dedupe(circles: Iterable[Circle], tol: float) -> list[Circle]:
     out: list[Circle] = []
     for c in circles:

@@ -123,10 +123,6 @@ class Rect:
         return Rect(min(self.xmin, other.xmin), min(self.ymin, other.ymin),
                     max(self.xmax, other.xmax), max(self.ymax, other.ymax))
 
-    def enlargement(self, other: "Rect") -> float:
-        """Area growth needed to absorb ``other`` (R-tree insertion metric)."""
-        return self.union(other).area - self.area
-
     def expanded(self, margin: float) -> "Rect":
         """A copy grown by ``margin`` on every side."""
         return Rect(self.xmin - margin, self.ymin - margin,
@@ -175,14 +171,6 @@ class Rect:
         # Degenerate (zero-extent side, or a side so thin the midpoint
         # rounds onto an edge): fall back to the deduplicating split.
         return self.split_at(cx, cy)
-
-    def min_distance_to_point(self, x: float, y: float) -> float:
-        """Distance from ``(x, y)`` to the closest point of the rectangle
-        (0 when inside)."""
-        import math
-        dx = max(self.xmin - x, 0.0, x - self.xmax)
-        dy = max(self.ymin - y, 0.0, y - self.ymax)
-        return math.hypot(dx, dy)
 
     def max_distance_to_point(self, x: float, y: float) -> float:
         """Distance from ``(x, y)`` to the farthest point of the rectangle."""

@@ -6,12 +6,13 @@ request after it runs against what publish produced:
 * the NLC SoA, copied **once** into a :mod:`repro.store` backend —
   requests read the read-only views attached over it, so no request
   ever copies NLC bytes;
-* the site index (:func:`repro.core.nlc.build_knn_tree`), built once
-  and fed to the NLC build, then dropped: nothing after publish reads
-  it, and small long-lived arrays kept beside the build's transient
-  ones measurably raise the daemon's peak RSS;
-* the customer→site rank matrix (:func:`repro.core.queries.knn_sites`),
-  the shared precomputation of every query operator;
+* the customer→site rank matrix (the indices of
+  :func:`repro.core.nlc.knn_chunked`), the shared precomputation of
+  every query operator.  One kNN search over every customer yields both
+  the NLC radii and these ranks; its site index is dropped afterwards,
+  because nothing after publish reads it and small long-lived arrays
+  kept beside the build's transient ones measurably raise the daemon's
+  peak RSS;
 * the Theorem-2/3 registry: after the first *exact* solve completes,
   the certified optimum seeds ``MaxMin`` of every later solve on the
   instance, and its found regions (:data:`~repro.core.region
@@ -32,9 +33,8 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from repro.core.nlc import build_knn_tree, build_nlcs, nlc_space
+from repro.core.nlc import knn_chunked, nlc_space, nlcs_from_distances
 from repro.core.problem import MaxBRkNNProblem
-from repro.core.queries import knn_sites
 from repro.core.region import FoundRegion
 from repro.geometry.rect import Rect
 from repro.index.circleset import CircleSet
@@ -51,14 +51,14 @@ class ServedInstance:
 
     def __init__(self, instance_id: str, problem: MaxBRkNNProblem,
                  owner: Any, nlcs: CircleSet, space: Rect,
-                 store: str) -> None:
+                 store: str, ranks: np.ndarray) -> None:
         self.instance_id = instance_id
         self.problem = problem
         self.owner = owner          # NLCStore; None for a 0-NLC instance
         self.nlcs = nlcs            # attached read-only views
         self.space = space
         self.store = store
-        self.ranks: np.ndarray = knn_sites(problem)
+        self.ranks = ranks          # (n_customers, k) site indices
         # Theorem-2/3 registry, populated by the first completed exact
         # solve (service layer).  Guarded by a lock: the HTTP front end
         # serves batches from worker threads.
@@ -141,8 +141,9 @@ class InstanceRegistry:
         from repro import store as nlc_store
 
         backend = nlc_store.resolve_store_name(store or self._store)
-        tree = build_knn_tree(problem.sites)
-        nlcs = build_nlcs(problem, tree=tree)
+        dists, ranks = knn_chunked(problem.customers, problem.sites,
+                                   problem.k)
+        nlcs = nlcs_from_distances(problem, dists)
         if len(nlcs) == 0:
             # Degenerate (all-zero-weight) instance: nothing to store,
             # but the query operators still answer — register it with a
@@ -150,14 +151,14 @@ class InstanceRegistry:
             instance = ServedInstance(
                 instance_id=f"inst-{next(self._fallback_ids)}",
                 problem=problem, owner=None, nlcs=nlcs,
-                space=problem.data_bounds(), store=backend)
+                space=problem.data_bounds(), store=backend, ranks=ranks)
         else:
             owner = nlc_store.publish(nlcs, backend)
             attached = nlc_store.attach(owner.handle)
             instance = ServedInstance(
                 instance_id=str(owner.handle[1]), problem=problem,
                 owner=owner, nlcs=attached, space=nlc_space(attached),
-                store=backend)
+                store=backend, ranks=ranks)
         with self._lock:
             self._instances[instance.instance_id] = instance
         return instance

@@ -231,6 +231,36 @@ class TestIntersectionPointProblem:
             assert v == pytest.approx(values[0])
 
 
+class TestDisksCommonPoint:
+    """The intersection-point detector over NLC indices."""
+
+    @staticmethod
+    def common_point(circles, tol):
+        return MaxFirst._disks_common_point_arrays(
+            CircleSet.from_circles(circles), np.arange(len(circles)), tol)
+
+    def test_finds_shared_point(self):
+        circles = [Circle(math.cos(t), math.sin(t), 1.0)
+                   for t in (0.3, 1.9, 3.8, 5.1)]
+        p = self.common_point(circles, tol=1e-9)
+        assert p is not None
+        assert math.hypot(p.x, p.y) < 1e-9
+
+    def test_none_when_no_common_point(self):
+        circles = [Circle(0, 0, 1), Circle(1, 0, 1), Circle(0.5, 1.5, 1)]
+        assert self.common_point(circles, tol=1e-9) is None
+
+    def test_none_for_single_circle(self):
+        assert self.common_point([Circle(0, 0, 1)], tol=1e-9) is None
+
+    def test_tolerance_respected(self):
+        # Third circle misses the pairwise point by more than tol.
+        circles = [Circle(1, 0, 1), Circle(-1, 0, 1),
+                   Circle(0, 1, 1.001)]
+        assert self.common_point(circles, tol=1e-6) is None
+        assert self.common_point(circles, tol=1e-2) is not None
+
+
 class TestSolverOptions:
     def test_backends_agree(self, small_k2_problem):
         vector = MaxFirst(backend="vector").solve(small_k2_problem)

@@ -170,6 +170,21 @@ class TestShardedExactness:
         with pytest.raises(ValueError, match="empty"):
             ShardedMaxFirst(shards=2).solve_nlcs(nlcs)
 
+    @pytest.mark.parametrize("mode", ["serial", "tiles"])
+    def test_plan_over_other_rows_rejected(self, mode):
+        """A plan's halos name rows of the set it was made over.  Run
+        over the first 100 customers' NLCs and then executed with all
+        300, it once solved to 23.0 where the optimum is 62.0."""
+        problem = _problem(300, 12, k=1, seed=4)
+        nlcs = build_nlcs(problem)
+        head = build_nlcs(MaxBRkNNProblem(problem.customers[:100],
+                                          problem.sites, k=1))
+        assert MaxFirst().solve_nlcs(nlcs).score == 62.0
+        with ShardedMaxFirst(shards=4, mode=mode) as solver:
+            plan = solver.plan(head)
+            with pytest.raises(ValueError, match="100 rows.* 300"):
+                solver.execute(nlcs, plan)
+
 
 class TestProcessFallback:
     """A pool that breaks mid-run (worker OOM-killed) must degrade to the

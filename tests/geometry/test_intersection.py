@@ -8,9 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.circle import Circle
-from repro.geometry.intersection import (DisjointDisksError,
-                                         disks_common_point,
-                                         intersect_disks)
+from repro.geometry.intersection import DisjointDisksError, intersect_disks
 
 from tests.conftest import polygon_area_by_sampling
 
@@ -151,26 +149,3 @@ class TestIntersectionProperties:
         p = region.representative_point()
         for c in circles:
             assert c.contains_point(p.x, p.y, tol=1e-9)
-
-
-class TestDisksCommonPoint:
-    def test_finds_shared_point(self):
-        circles = [Circle(math.cos(t), math.sin(t), 1.0)
-                   for t in (0.3, 1.9, 3.8, 5.1)]
-        p = disks_common_point(circles, tol=1e-9)
-        assert p is not None
-        assert math.hypot(p.x, p.y) < 1e-9
-
-    def test_none_when_no_common_point(self):
-        circles = [Circle(0, 0, 1), Circle(1, 0, 1), Circle(0.5, 1.5, 1)]
-        assert disks_common_point(circles, tol=1e-9) is None
-
-    def test_none_for_single_circle(self):
-        assert disks_common_point([Circle(0, 0, 1)]) is None
-
-    def test_tolerance_respected(self):
-        # Third circle misses the pairwise point by more than tol.
-        circles = [Circle(1, 0, 1), Circle(-1, 0, 1),
-                   Circle(0, 1, 1.001)]
-        assert disks_common_point(circles, tol=1e-6) is None
-        assert disks_common_point(circles, tol=1e-2) is not None

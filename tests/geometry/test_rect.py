@@ -86,11 +86,10 @@ class TestPredicates:
         assert a.intersection(b) == Rect(1, 1, 2, 2)
         assert a.intersection(Rect(5, 5, 6, 6)) is None
 
-    def test_union_and_enlargement(self):
+    def test_union(self):
         a = Rect(0, 0, 1, 1)
         b = Rect(2, 2, 3, 3)
         assert a.union(b) == Rect(0, 0, 3, 3)
-        assert a.enlargement(b) == 9.0 - 1.0
 
     def test_expanded(self):
         assert Rect(0, 0, 1, 1).expanded(0.5) == Rect(-0.5, -0.5, 1.5, 1.5)
@@ -129,14 +128,6 @@ class TestSplit:
 
 
 class TestDistances:
-    def test_min_distance_inside_zero(self):
-        assert Rect(0, 0, 2, 2).min_distance_to_point(1.0, 1.0) == 0.0
-
-    def test_min_distance_outside(self):
-        r = Rect(0, 0, 1, 1)
-        assert r.min_distance_to_point(4.0, 5.0) == pytest.approx(5.0)
-        assert r.min_distance_to_point(-2.0, 0.5) == pytest.approx(2.0)
-
     def test_max_distance(self):
         r = Rect(0, 0, 1, 1)
         assert r.max_distance_to_point(0.0, 0.0) == pytest.approx(
@@ -176,6 +167,6 @@ class TestRectProperties:
             assert r.contains_rect(q)
 
     @given(rects(), coord, coord)
-    def test_min_le_max_distance(self, r, x, y):
-        assert (r.min_distance_to_point(x, y)
-                <= r.max_distance_to_point(x, y) + 1e-12)
+    def test_max_distance_is_farthest_corner(self, r, x, y):
+        farthest = max(math.hypot(c.x - x, c.y - y) for c in r.corners())
+        assert r.max_distance_to_point(x, y) == pytest.approx(farthest)

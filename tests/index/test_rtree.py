@@ -1,7 +1,5 @@
 """Tests for repro.index.rtree."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,12 +19,6 @@ def brute_range(points, query: Rect):
                   if query.contains_point(float(x), float(y)))
 
 
-def brute_knn(points, x, y, k):
-    d = sorted((math.hypot(px - x, py - y), i)
-               for i, (px, py) in enumerate(points))
-    return d[:k]
-
-
 @pytest.fixture
 def points(rng):
     return rng.random((300, 2))
@@ -41,7 +33,6 @@ class TestConstruction:
         tree = RTree()
         assert len(tree) == 0
         assert tree.search(Rect(0, 0, 1, 1)) == []
-        assert tree.nearest(0.0, 0.0) == []
 
     def test_bulk_load_empty(self):
         tree = RTree.bulk_load([])
@@ -50,8 +41,8 @@ class TestConstruction:
     def test_bulk_load_sizes(self, points):
         tree = RTree.bulk_load(point_items(points))
         assert len(tree) == points.shape[0]
-        assert sorted(i for _, i in tree.items()) == list(
-            range(points.shape[0]))
+        bbox = Rect.from_points(points.tolist())
+        assert sorted(tree.search(bbox)) == list(range(points.shape[0]))
 
     def test_height_grows_logarithmically(self, rng):
         small = RTree.bulk_load(point_items(rng.random((10, 2))),
@@ -68,18 +59,6 @@ class TestRangeSearch:
                       Rect(0.9, 0.9, 0.95, 0.95), Rect(2, 2, 3, 3)):
             assert sorted(tree.search(query)) == brute_range(points, query)
 
-    def test_matches_brute_force_inserted(self, points):
-        tree = RTree(max_entries=8)
-        for rect, i in point_items(points):
-            tree.insert(rect, i)
-        for query in (Rect(0.2, 0.0, 0.6, 0.3), Rect(0, 0, 1, 1)):
-            assert sorted(tree.search(query)) == brute_range(points, query)
-
-    def test_search_point(self, points):
-        tree = RTree.bulk_load(point_items(points))
-        x, y = points[17]
-        assert 17 in tree.search_point(float(x), float(y))
-
     def test_search_with_box_items(self, rng):
         boxes = []
         for i in range(100):
@@ -90,68 +69,6 @@ class TestRangeSearch:
         query = Rect(0.3, 0.3, 0.5, 0.5)
         expected = sorted(i for rect, i in boxes if rect.intersects(query))
         assert sorted(tree.search(query)) == expected
-
-
-class TestNearest:
-    def test_matches_brute_force(self, points):
-        tree = RTree.bulk_load(point_items(points))
-        for probe in ((0.5, 0.5), (0.0, 0.0), (1.2, -0.3)):
-            for k in (1, 5, 20):
-                got = tree.nearest(probe[0], probe[1], k=k)
-                expected = brute_knn(points, probe[0], probe[1], k)
-                assert [i for _, i in got] == [i for _, i in expected]
-                for (gd, _), (ed, _) in zip(got, expected):
-                    assert gd == pytest.approx(ed)
-
-    def test_distances_sorted(self, points):
-        tree = RTree.bulk_load(point_items(points))
-        dists = [d for d, _ in tree.nearest(0.3, 0.7, k=50)]
-        assert dists == sorted(dists)
-
-    def test_k_larger_than_size(self, rng):
-        pts = rng.random((5, 2))
-        tree = RTree.bulk_load(point_items(pts))
-        assert len(tree.nearest(0.5, 0.5, k=10)) == 5
-
-    def test_max_distance_cutoff(self, points):
-        tree = RTree.bulk_load(point_items(points))
-        got = tree.nearest(0.5, 0.5, k=1000, max_distance=0.1)
-        assert all(d <= 0.1 for d, _ in got)
-        expected = [i for d, i in brute_knn(points, 0.5, 0.5, 1000)
-                    if d <= 0.1]
-        assert sorted(i for _, i in got) == sorted(expected)
-
-    def test_invalid_k(self, points):
-        tree = RTree.bulk_load(point_items(points))
-        with pytest.raises(ValueError):
-            tree.nearest(0.0, 0.0, k=0)
-
-
-class TestDelete:
-    def test_delete_and_search(self, points):
-        tree = RTree.bulk_load(point_items(points), max_entries=8)
-        removed = set()
-        for i in (0, 5, 50, 100, 299):
-            rect = Rect(float(points[i, 0]), float(points[i, 1]),
-                        float(points[i, 0]), float(points[i, 1]))
-            assert tree.delete(rect, i)
-            removed.add(i)
-        assert len(tree) == points.shape[0] - len(removed)
-        found = set(tree.search(Rect(0, 0, 1, 1)))
-        assert found.isdisjoint(removed)
-        assert found == set(range(points.shape[0])) - removed
-
-    def test_delete_missing_returns_false(self, points):
-        tree = RTree.bulk_load(point_items(points))
-        assert not tree.delete(Rect(5, 5, 5, 5), 9999)
-
-    def test_delete_everything(self, rng):
-        pts = rng.random((60, 2))
-        tree = RTree.bulk_load(point_items(pts), max_entries=4)
-        for rect, i in point_items(pts):
-            assert tree.delete(rect, i)
-        assert len(tree) == 0
-        assert tree.search(Rect(0, 0, 1, 1)) == []
 
 
 class TestRTreeProperties:
@@ -167,17 +84,3 @@ class TestRTreeProperties:
         query = Rect(-3.0, -3.0, 3.0, 3.0)
         assert sorted(tree.search(query)) == brute_range(
             np.array(pts), query)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.tuples(
-        st.floats(min_value=-10, max_value=10, allow_nan=False),
-        st.floats(min_value=-10, max_value=10, allow_nan=False)),
-        min_size=2, max_size=80))
-    def test_nearest_equivalence(self, pts):
-        arr = np.array(pts)
-        tree = RTree.bulk_load(point_items(arr))
-        got = tree.nearest(0.0, 0.0, k=3)
-        expected = brute_knn(arr, 0.0, 0.0, 3)
-        got_d = [d for d, _ in got]
-        exp_d = [d for d, _ in expected]
-        assert got_d == pytest.approx(exp_d)

@@ -68,15 +68,12 @@ class TestStableKeySets:
 
 
 class TestBenchArtifacts:
-    def test_bench_phase1_rows_share_maxfirst_stats_schema(self):
-        path = _REPO_ROOT / "BENCH_phase1.json"
-        if not path.exists():
-            pytest.skip("BENCH_phase1.json not present")
-        doc = json.loads(path.read_text())
-        rows = [row for row in doc.get("rows", []) if "stats" in row]
-        assert rows, "BENCH_phase1.json rows carry no stats dicts"
-        for row in rows:
-            assert tuple(row["stats"].keys()) == MAXFIRST_COUNTER_KEYS
+    def test_phase1_golden_stats_share_maxfirst_stats_schema(self):
+        path = _REPO_ROOT / "tests" / "core" / "phase1_golden.json"
+        cases = json.loads(path.read_text())["cases"]
+        assert cases, "phase1_golden.json holds no cases"
+        for case in cases:
+            assert tuple(case["stats"].keys()) == MAXFIRST_COUNTER_KEYS
 
     def test_gate_baseline_counters_are_known(self):
         from repro.obs.gate import GATED_COUNTERS, SERVE_GATED_COUNTERS

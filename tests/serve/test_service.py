@@ -1,11 +1,15 @@
 """In-process QueryService: identity with direct queries, certificates,
 error paths, registry lifecycle, counters."""
 
+import numpy as np
 import pytest
 
 from repro.core.maxfirst import MaxFirst
+from repro.core.nlc import build_nlcs
+from repro.core.problem import MaxBRkNNProblem
 from repro.core.queries import (brknn_of_site, impact_of_new_site,
                                 knn_sites, site_influence)
+from repro.datasets.synthetic import synthetic_instance
 from repro.obs import metrics as _obs_metrics
 from repro.serve.instance import InstanceRegistry
 from repro.serve.protocol import (BrknnRequest, BrknnResponse,
@@ -164,6 +168,40 @@ class TestRegistryLifecycle:
         service.publish(serve_problem)
         service.close()
         service.close()
+
+    def test_publish_runs_one_knn_search(self):
+        """One kNN pass yields the NLC radii and the rank matrix; a
+        second search for the ranks counted 2000 queries here."""
+        customers, sites = synthetic_instance(1000, 50, "uniform", seed=3)
+        problem = MaxBRkNNProblem(customers, sites, k=2)
+        registry = InstanceRegistry(store="ram")
+        try:
+            with _obs_metrics.REGISTRY.isolated() as box:
+                instance = registry.publish(problem)
+            assert box["counters"]["nlc_build_queries"] == 1000
+            expected = build_nlcs(problem)
+            for field in ("cx", "cy", "r", "scores", "owners", "levels"):
+                got = getattr(instance.nlcs, field)
+                want = getattr(expected, field)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), field
+            np.testing.assert_array_equal(instance.ranks,
+                                          knn_sites(problem))
+        finally:
+            registry.close()
+
+    def test_zero_weight_publish_keeps_ranks(self, serve_problem):
+        problem = MaxBRkNNProblem(serve_problem.customers,
+                                  serve_problem.sites, k=2,
+                                  weights=[0.0] * serve_problem.n_customers)
+        registry = InstanceRegistry(store="ram")
+        try:
+            instance = registry.publish(problem)
+            assert len(instance.nlcs) == 0
+            np.testing.assert_array_equal(instance.ranks,
+                                          knn_sites(problem))
+        finally:
+            registry.close()
 
 
 class TestCounters:
