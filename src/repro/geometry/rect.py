@@ -53,16 +53,6 @@ class Rect:
             ymax = max(ymax, y)
         return cls(xmin, ymin, xmax, ymax)
 
-    @classmethod
-    def from_center(cls, cx: float, cy: float, half_width: float,
-                    half_height: float | None = None) -> "Rect":
-        """Rectangle centred at ``(cx, cy)``; square when only one half-extent
-        is given."""
-        if half_height is None:
-            half_height = half_width
-        return cls(cx - half_width, cy - half_height,
-                   cx + half_width, cy + half_height)
-
     @property
     def width(self) -> float:
         return self.xmax - self.xmin
@@ -85,38 +75,14 @@ class Rect:
         import math
         return math.hypot(self.width, self.height)
 
-    def corners(self) -> tuple[Point, Point, Point, Point]:
-        """The four corners, counter-clockwise from the lower left."""
-        return (
-            Point(self.xmin, self.ymin),
-            Point(self.xmax, self.ymin),
-            Point(self.xmax, self.ymax),
-            Point(self.xmin, self.ymax),
-        )
-
     def contains_point(self, x: float, y: float) -> bool:
         """True when ``(x, y)`` lies in the closed rectangle."""
         return self.xmin <= x <= self.xmax and self.ymin <= y <= self.ymax
-
-    def contains_rect(self, other: "Rect") -> bool:
-        """True when ``other`` lies entirely inside this rectangle."""
-        return (self.xmin <= other.xmin and other.xmax <= self.xmax
-                and self.ymin <= other.ymin and other.ymax <= self.ymax)
 
     def intersects(self, other: "Rect") -> bool:
         """True when the closed rectangles share at least one point."""
         return (self.xmin <= other.xmax and other.xmin <= self.xmax
                 and self.ymin <= other.ymax and other.ymin <= self.ymax)
-
-    def intersection(self, other: "Rect") -> "Rect | None":
-        """The overlapping rectangle, or ``None`` when disjoint."""
-        xmin = max(self.xmin, other.xmin)
-        ymin = max(self.ymin, other.ymin)
-        xmax = min(self.xmax, other.xmax)
-        ymax = min(self.ymax, other.ymax)
-        if xmin > xmax or ymin > ymax:
-            return None
-        return Rect(xmin, ymin, xmax, ymax)
 
     def union(self, other: "Rect") -> "Rect":
         """The smallest rectangle covering both operands."""
@@ -171,10 +137,3 @@ class Rect:
         # Degenerate (zero-extent side, or a side so thin the midpoint
         # rounds onto an edge): fall back to the deduplicating split.
         return self.split_at(cx, cy)
-
-    def max_distance_to_point(self, x: float, y: float) -> float:
-        """Distance from ``(x, y)`` to the farthest point of the rectangle."""
-        import math
-        dx = max(x - self.xmin, self.xmax - x)
-        dy = max(y - self.ymin, self.ymax - y)
-        return math.hypot(dx, dy)

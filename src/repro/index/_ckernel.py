@@ -4,11 +4,12 @@
 system C compiler into a shared library cached under a private per-user
 cache directory, keyed by a hash of the source and compile flags, then
 loaded through :mod:`ctypes`.  The library carries every compiled entry
-point — ``classify_quad_split`` for Phase I rectangle classification,
-and ``knn_tree_build`` / ``knn_tree_search`` for NLC construction (an
-exact kNN over a static bucket kd-tree of the sites, built once per
-site set and pruned only by box distances strictly beyond the current
-k-th neighbour, so it matches the numpy scan bit for bit) — and is
+point — ``classify_quad_split`` for the Phase I quadrant split (the
+children's classification and score sums), and ``knn_tree_build`` /
+``knn_tree_search`` for NLC construction (an exact kNN over a static
+bucket kd-tree of the sites, built once per site set and pruned only by
+box distances strictly beyond the current k-th neighbour, so it matches
+the numpy scan bit for bit) — and is
 built and loaded exactly once per process; :func:`load_quad_kernel` and
 :func:`load_knn_kernel` hand out the configured functions.  Everything is
 best-effort: an *expected* failure — no compiler, unwritable cache dir,
@@ -150,19 +151,32 @@ def _build(source_path: str) -> str | None:
     return lib_path if _owned_private(lib_path, want_dir=False) else None
 
 
+class QuadSplitArgs(ctypes.Structure):
+    """The fixed arguments of ``classify_quad_split`` (its
+    ``quad_split_args`` struct): the disk columns, the scratch rows and
+    their stride.  A classifier fills one per scratch size and passes
+    it by reference, so a split marshals only what changes per call."""
+
+    _fields_ = [
+        ("cx", ctypes.c_void_p), ("cy", ctypes.c_void_p),
+        ("r_in2", ctypes.c_void_p), ("r_out2", ctypes.c_void_p),
+        ("scores", ctypes.c_void_p),
+        ("idx_out", ctypes.c_void_p), ("mask_out", ctypes.c_void_p),
+        ("sc_out", ctypes.c_void_p), ("csc_out", ctypes.c_void_p),
+        ("counts", ctypes.c_void_p), ("sums", ctypes.c_void_p),
+        ("stride", ctypes.c_int64),
+    ]
+
+
 def _configure_quad(fn) -> None:
     """ctypes signature for ``classify_quad_split``."""
     c_d = ctypes.c_double
-    c_i64 = ctypes.c_int64
     ptr = ctypes.c_void_p
     fn.restype = None
     fn.argtypes = [
-        ptr, ptr, ptr, ptr, ptr,       # cx cy r_in2 r_out2 sc
-        ptr, c_i64,                    # cand, n
+        ctypes.POINTER(QuadSplitArgs),
+        ptr, ctypes.c_int64,           # cand, n
         c_d, c_d, c_d, c_d, c_d, c_d,  # rect + split point
-        c_i64,                         # stride
-        ptr, ptr, ptr, ptr,            # idx mask sc csc out
-        ptr, ptr,                      # counts ccounts
     ]
 
 

@@ -17,18 +17,26 @@
  * with the same operands.  IEEE-754 double add/sub/mul/compare are
  * correctly rounded in both C (SSE2 scalar math) and numpy, and max is
  * exactly associative/commutative for the NaN-free finite inputs used
- * here, so the predicates evaluate to exactly the same booleans.  Score
- * sums are NOT computed here — the caller reduces the compacted score
- * runs with numpy so pairwise-summation order matches the scalar path.
+ * here, so the predicates evaluate to exactly the same booleans.
  * Build with -ffp-contract=off: fusing mul+add into FMA would change
  * rounding and break the contract.
+ *
+ * The score sums m̂ax = sum(score, Q.I) and m̂in = sum(score, Q.C) are
+ * computed here too, over the same compacted runs the scalar kernel's
+ * sc.sum() / sc[mask].sum() reduce, by add_reduce below: a port of
+ * numpy's float64 pairwise summation that adds in numpy's order, so the
+ * sums agree bit for bit (tests/index/test_kernel_sums.py pins this
+ * against np.add.reduce on run lengths from 0 to past 40,000).
  *
  * Child order matches Rect.split_at: ll, lr, ul, ur — child c uses
  * x-lane (c & 1) and y-lane (c >> 1).
  *
  * Output layout: per-child runs live in row c of the (4, stride)
- * scratch matrices, compacted in candidate order; counts[c] /
- * ccounts[c] give the run lengths.
+ * scratch matrices, compacted in candidate order; counts[c] gives the
+ * Q.I run length and sums[2c], sums[2c + 1] the child's m̂ax and m̂in.
+ * Everything but the candidates, the split geometry and the run length
+ * is fixed per classifier and scratch size, so it arrives bound once in
+ * one quad_split_args struct instead of as per-call arguments.
  */
 
 #include <stdint.h>
@@ -37,21 +45,71 @@
 
 static inline double dmax(double a, double b) { return a > b ? a : b; }
 
+/* numpy's pairwise summation of a contiguous float64 run (the
+ * DOUBLE_pairwise_sum of numpy's loops_utils.h.src): a running sum below
+ * 8 terms; up to PW_BLOCKSIZE terms, eight lane accumulators over the
+ * multiple-of-8 prefix, combined pairwise, then the tail in order; above
+ * it, a split at n/2 rounded down to a multiple of 8. */
+#define PW_BLOCKSIZE 128
+
+static double pairwise_sum(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= PW_BLOCKSIZE) {
+        double r0 = a[0], r1 = a[1], r2 = a[2], r3 = a[3];
+        double r4 = a[4], r5 = a[5], r6 = a[6], r7 = a[7];
+        int64_t i;
+        for (i = 8; i < n - (n % 8); i += 8) {
+            r0 += a[i + 0]; r1 += a[i + 1]; r2 += a[i + 2]; r3 += a[i + 3];
+            r4 += a[i + 4]; r5 += a[i + 5]; r6 += a[i + 6]; r7 += a[i + 7];
+        }
+        double res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* np.add.reduce of a run: the reduction starts from add's identity,
+ * +0.0, and adds the pairwise sum to it — so a run of -0.0 terms (or an
+ * empty run) reduces to +0.0, as numpy's does. */
+static inline double add_reduce(const double *a, int64_t n)
+{
+    return 0.0 + pairwise_sum(a, n);
+}
+
+typedef struct {
+    const double *cx, *cy, *r_in2, *r_out2, *scores;  /* (n_disks,)   */
+    int64_t *idx_out;   /* (4, stride) int64  : Q.I indices           */
+    uint8_t *mask_out;  /* (4, stride) bool   : containing mask       */
+    double *sc_out;     /* (4, stride) double : scores over Q.I       */
+    double *csc_out;    /* (4, stride) double : scores over Q.C       */
+    int64_t *counts;    /* (4)    |Q.I| per child                     */
+    double *sums;       /* (4, 2) m̂ax, m̂in per child                 */
+    int64_t stride;
+} quad_split_args;
+
 void classify_quad_split(
-    const double *cx, const double *cy,
-    const double *r_in2, const double *r_out2,
-    const double *scores,
+    const quad_split_args *args,
     const int64_t *cand, int64_t n,
     double xmin, double ymin, double xmax, double ymax,
-    double px, double py,
-    int64_t stride,
-    int64_t *idx_out,   /* (4, stride) int64  : Q.I indices           */
-    uint8_t *mask_out,  /* (4, stride) uint8  : containing mask       */
-    double *sc_out,     /* (4, stride) double : scores over Q.I       */
-    double *csc_out,    /* (4, stride) double : scores over Q.C       */
-    int64_t *counts,    /* (4) |Q.I| per child                        */
-    int64_t *ccounts)   /* (4) |Q.C| per child                        */
+    double px, double py)
 {
+    const double *cx = args->cx, *cy = args->cy;
+    const double *r_in2 = args->r_in2, *r_out2 = args->r_out2;
+    const double *scores = args->scores;
+    int64_t *idx_out = args->idx_out;
+    uint8_t *mask_out = args->mask_out;
+    double *sc_out = args->sc_out, *csc_out = args->csc_out;
+    const int64_t stride = args->stride;
     int64_t h[4] = {0, 0, 0, 0};
     int64_t ch[4] = {0, 0, 0, 0};
     double nx2[2], ny2[2], fx2[2], fy2[2];
@@ -93,8 +151,9 @@ void classify_quad_split(
         }
     }
     for (int c = 0; c < 4; c++) {
-        counts[c] = h[c];
-        ccounts[c] = ch[c];
+        args->counts[c] = h[c];
+        args->sums[2 * c] = add_reduce(sc_out + c * stride, h[c]);
+        args->sums[2 * c + 1] = add_reduce(csc_out + c * stride, ch[c]);
     }
 }
 

@@ -16,13 +16,14 @@ is retained for the ablation benchmark).
 
 from __future__ import annotations
 
+import ctypes
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.geometry.circle import Circle
 from repro.geometry.rect import Rect
-from repro.index._ckernel import load_quad_kernel
+from repro.index._ckernel import QuadSplitArgs, load_quad_kernel
 from repro.obs import metrics as _obs_metrics
 
 #: Deterministic work counters over the batched classification kernel.
@@ -40,6 +41,11 @@ _BROADCAST_ELEMENTS = 2_000_000
 
 # Shared empty containing-mask for rectangles no candidate reaches.
 _EMPTY_MASK = np.zeros(0, dtype=bool)
+
+# A zero-length int64 ctypes array type: ``from_buffer`` over a candidate
+# array passes its address to the compiled kernel more cheaply than
+# ``ndarray.ctypes``, and refuses a read-only or non-contiguous array.
+_INDEX_VIEW = ctypes.c_int64 * 0
 
 
 def _rects_as_array(rects) -> np.ndarray:
@@ -395,10 +401,12 @@ class RectClassifier:
     identical to :meth:`CircleSet.classify_rect` — the squared-radius
     precomputation performs the same per-element ``maximum``/multiply
     the scalar kernel does, and the per-rect sums reduce the same
-    compacted score arrays in the same order.
+    compacted score arrays in the same order (in numpy, or in the
+    compiled kernel's port of numpy's pairwise summation).
     """
 
-    __slots__ = ("_packed", "_quad_fn", "_stride", "_scratch", "_ptrs")
+    __slots__ = ("_packed", "_quad_fn", "_stride", "_scratch", "_rows",
+                 "_args")
 
     def __init__(self, circles: CircleSet, graze_tol: float) -> None:
         r_in = np.maximum(circles.r - graze_tol, 0.0)
@@ -409,24 +417,29 @@ class RectClassifier:
         self._quad_fn = load_quad_kernel()
         self._stride = 0
         self._scratch: tuple[np.ndarray, ...] = ()
-        self._ptrs: tuple[int, ...] = ()
+        self._rows: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
+        self._args: QuadSplitArgs | None = None
 
     def _grow_scratch(self, n: int) -> None:
-        """(Re)allocate the compiled kernel's per-child output rows."""
+        """(Re)allocate the compiled kernel's per-child output rows and
+        bind them, with the disk columns, into its argument struct."""
         self._stride = n
         idx = np.empty((4, n), dtype=np.int64)
-        mask = np.empty((4, n), dtype=np.uint8)
+        mask = np.empty((4, n), dtype=np.bool_)
         sc = np.empty((4, n), dtype=np.float64)
         csc = np.empty((4, n), dtype=np.float64)
         counts = np.empty(4, dtype=np.int64)
-        ccounts = np.empty(4, dtype=np.int64)
-        self._scratch = (idx, mask, sc, csc, counts, ccounts)
+        sums = np.empty((4, 2), dtype=np.float64)
+        # The struct holds raw pointers: _scratch keeps their arrays alive.
+        self._scratch = (idx, mask, sc, csc, counts, sums)
         _SCRATCH_BYTES.observe_max(float(sum(
             a.nbytes for a in self._scratch)))
+        self._rows = tuple(zip(idx, mask))
         packed = self._packed
-        self._ptrs = tuple(a.ctypes.data for a in (
-            packed[0], packed[1], packed[2], packed[3], packed[4],
-            idx, mask, sc, csc, counts, ccounts))
+        self._args = QuadSplitArgs(
+            *(a.ctypes.data for a in (
+                packed[0], packed[1], packed[2], packed[3], packed[4],
+                idx, mask, sc, csc, counts, sums)), n)
 
     def quad_split(self, xmin: float, ymin: float, xmax: float, ymax: float,
                    px: float, py: float, candidates: np.ndarray
@@ -434,44 +447,41 @@ class RectClassifier:
         """Classify the four children of splitting a rect at ``(px, py)``.
 
         Single-pass compiled fast path for the dominant Phase I split
-        shape (see ``_quadkernel.c``); returns the same four result
-        tuples :meth:`classify` would, in ``Rect.split_at`` child order,
-        or ``None`` when the compiled kernel is unavailable (caller
-        falls back to the numpy batch kernel).
+        shape (see ``_quadkernel.c``): one foreign call classifies the
+        candidates and sums each child's scores.  Returns the same four
+        result tuples :meth:`classify` would, in ``Rect.split_at`` child
+        order, or ``None`` when the compiled kernel is unavailable or
+        cannot read ``candidates`` (the caller falls back to the numpy
+        batch kernel).
         """
         fn = self._quad_fn
-        if (fn is None or candidates.dtype != np.int64
-                or not candidates.flags["C_CONTIGUOUS"]):
+        if fn is None or candidates.dtype != np.int64:
             # Counted by classify() instead: the caller retries there, so
             # both kernel paths see one batch of four rects per split.
+            return None
+        try:
+            cand = _INDEX_VIEW.from_buffer(candidates)
+        except TypeError:  # read-only or non-contiguous: numpy takes it
             return None
         _KERNEL_BATCHES.add()
         _KERNEL_RECTS.add(4)
         n = candidates.shape[0]
-        empty = (candidates[:0], _EMPTY_MASK, 0.0, 0.0)
         if n == 0:
-            return [empty] * 4
+            return [(candidates[:0], _EMPTY_MASK, 0.0, 0.0)] * 4
         if n > self._stride:
             self._grow_scratch(n)
-        p = self._ptrs
-        fn(p[0], p[1], p[2], p[3], p[4],
-           candidates.ctypes.data, n,
-           xmin, ymin, xmax, ymax, px, py,
-           self._stride,
-           p[5], p[6], p[7], p[8], p[9], p[10])
-        idx_s, mask_s, sc_s, csc_s, counts, ccounts = self._scratch
+        fn(self._args, cand, n, xmin, ymin, xmax, ymax, px, py)
+        counts, sums = self._scratch[4:]
         out: list[tuple[np.ndarray, np.ndarray, float, float]] = []
-        for c, (h, hc) in enumerate(zip(counts.tolist(), ccounts.tolist())):
+        for (idx_row, mask_row), h, (max_hat, min_hat) in zip(
+                self._rows, counts.tolist(), sums.tolist()):
             if h == 0:
-                out.append(empty)
+                out.append((candidates[:0], _EMPTY_MASK, 0.0, 0.0))
                 continue
-            # Copy the compacted runs out of the reusable scratch rows;
-            # the sums reduce the same score sequences the scalar
-            # kernel's ``sc.sum()`` / ``sc[mask].sum()`` would.
-            out.append((idx_s[c, :h].copy(),
-                        mask_s[c, :h].copy().view(np.bool_),
-                        float(sc_s[c, :h].sum()),
-                        float(csc_s[c, :hc].sum())))
+            # Each child owns copies of its runs: the next split reuses
+            # the scratch rows.
+            out.append((idx_row[:h].copy(), mask_row[:h].copy(),
+                        max_hat, min_hat))
         return out
 
     def classify(self, rects, candidates: np.ndarray

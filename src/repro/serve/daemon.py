@@ -26,7 +26,8 @@ Errors follow the protocol's split: per-request problems come back as
 malformed envelope (bad JSON, a negative or non-integer
 ``Content-Length``, unknown path) is an HTTP 4xx with ``{"error": ...}``
 — a declared body above :data:`_MAX_BODY_BYTES` is a 413, refused
-before anything is read.
+before anything is read, and a body that stalls past
+:data:`_READ_TIMEOUT_S` is a 408 that closes the connection.
 Anything else a route raises — a batch that outlives
 ``request_timeout``, a batch that raises, a bug — is an HTTP 500 with
 the same envelope, so every request gets exactly one well-formed reply
@@ -58,6 +59,12 @@ _LOG = logging.getLogger(__name__)
 #: Largest request body read (256 MiB, far above any publish body the
 #: repo sends); a longer declared ``Content-Length`` gets a 413.
 _MAX_BODY_BYTES = 256 * 1024 * 1024
+
+#: Seconds one socket read or write may stall before the handler gives
+#: the connection up.  A client that declares a body and then stops
+#: sending gets a 408 instead of pinning a handler thread; an idle
+#: keep-alive connection is closed quietly (ServeClient reconnects).
+_READ_TIMEOUT_S = 30.0
 
 _NAMED_MODELS = {
     "uniform": ProbabilityModel.uniform,
@@ -113,6 +120,10 @@ class _BodyTooLarge(ValueError):
     """A declared request body above :data:`_MAX_BODY_BYTES` (HTTP 413)."""
 
 
+class _BodyTimeout(Exception):
+    """A request body that stalled past the read timeout (HTTP 408)."""
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Request handler; the daemon installs itself as ``server.daemon``."""
 
@@ -128,6 +139,10 @@ class _Handler(BaseHTTPRequestHandler):
     # stall lands on every response.  (HTTP/1.0 never saw this — the
     # per-request close flushed the stream.)
     disable_nagle_algorithm = True
+
+    # StreamRequestHandler applies this to the socket: no read or write
+    # blocks a handler thread for longer.
+    timeout = _READ_TIMEOUT_S
 
     # Quiet by default — the smoke/CI logs only want the daemon's own
     # lines, not one access-log line per request.
@@ -163,7 +178,15 @@ class _Handler(BaseHTTPRequestHandler):
             raise _BodyTooLarge(
                 f"Content-Length {length} exceeds the "
                 f"{_MAX_BODY_BYTES}-byte body limit")
-        raw = self.rfile.read(length) if length else b"{}"
+        try:
+            raw = self.rfile.read(length) if length else b"{}"
+        except TimeoutError as exc:
+            # Part of the body may still be in flight, so the stream
+            # cannot be resynchronised: answer, then close.
+            self.close_connection = True
+            raise _BodyTimeout(
+                f"request body stalled for {self.timeout:g}s "
+                f"({length} bytes declared)") from exc
         try:
             doc = json.loads(raw.decode("utf-8"))
         except RecursionError as exc:
@@ -222,6 +245,8 @@ class _Handler(BaseHTTPRequestHandler):
                                 {"error": f"unknown path {self.path}"})
         except _BodyTooLarge as exc:
             self._send_json(413, {"error": str(exc)})
+        except _BodyTimeout as exc:
+            self._send_json(408, {"error": str(exc)})
         except (ValueError, json.JSONDecodeError) as exc:
             self._send_json(400, {"error": str(exc)})
         except Exception as exc:

@@ -174,5 +174,6 @@ class TestNlcSpace:
         nlcs = build_nlcs(small_k2_problem)
         space = nlc_space(nlcs)
         box = nlcs.bounding_box()
-        assert space.contains_rect(box)
+        assert (space.xmin <= box.xmin and box.xmax <= space.xmax
+                and space.ymin <= box.ymin and box.ymax <= space.ymax)
         assert space.area > box.area  # strictly expanded

@@ -84,8 +84,9 @@ class TestComputeOptimalRegion:
         quad = Rect(x - 1e-4, y - 1e-4, x + 1e-4, y + 1e-4)
         cover = np.flatnonzero(nlcs.contains_rect_mask(quad))
         region = compute_optimal_region(quad, cover, nlcs, score=1.0)
-        for corner in quad.corners():
-            assert region.contains_point(corner.x, corner.y, tol=1e-9)
+        for x in (quad.xmin, quad.xmax):
+            for y in (quad.ymin, quad.ymax):
+                assert region.contains_point(x, y, tol=1e-9)
 
     def test_cover_recorded(self):
         cs = circle_set([Circle(0, 0, 1), Circle(0.1, 0, 1)])

@@ -1,6 +1,7 @@
 """HTTP daemon + client: in-process server thread, real sockets."""
 
 import json
+import socket
 import sys
 import threading
 import time
@@ -247,6 +248,38 @@ class TestFailClosed:
         assert response.getheader("Connection") == "close"
         assert "Content-Length" in doc["error"]
         with ServeClient(host, port) as client:
+            assert client.health()["status"] == "ok"
+
+    def test_stalled_body_is_one_408_then_close(self, daemon, monkeypatch):
+        """A client that declares a body and stops sending gets exactly
+        one 408 envelope, then the daemon closes the connection instead
+        of pinning a handler thread on the read."""
+        monkeypatch.setattr(daemon_module._Handler, "timeout", 0.2)
+        host, port = daemon.address
+        with socket.create_connection((host, port), timeout=10.0) as sock:
+            sock.sendall(b"POST /query HTTP/1.1\r\nHost: test\r\n"
+                         b"Content-Type: application/json\r\n"
+                         b"Content-Length: 100\r\n\r\n{\"requests\"")
+            received = b""
+            while chunk := sock.recv(65536):  # until the daemon closes
+                received += chunk
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 408 ")
+        assert received.count(b"HTTP/1.1 ") == 1
+        assert b"Connection: close" in head
+        assert "stalled" in json.loads(body)["error"]
+        with ServeClient(host, port) as client:
+            assert client.health()["status"] == "ok"
+
+    def test_idle_keep_alive_closes_and_client_reconnects(self, daemon,
+                                                          monkeypatch):
+        monkeypatch.setattr(daemon_module._Handler, "timeout", 0.2)
+        host, port = daemon.address
+        with ServeClient(host, port) as client:
+            assert client.health()["status"] == "ok"
+            sock = client._conn.sock
+            time.sleep(0.6)  # past the timeout: the daemon drops it
+            assert sock.recv(1) == b""
             assert client.health()["status"] == "ok"
 
     def test_batch_timeout_is_500_and_keeps_the_connection(
