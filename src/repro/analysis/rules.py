@@ -292,19 +292,19 @@ _LOADER_CALLS = frozenset({
     # The _ckernel entry-point loaders: calling one of these triggers a
     # compile+dlopen on first use, so the calling module must document
     # the gate just like a direct ctypes load would.
-    "load_quad_kernel", "load_knn_kernel",
+    "load_quad_kernel", "load_knn_kernel", "load_halo_kernel",
 })
 
 
 class UnguardedKernelLoad(Rule):
     """RPR006 — ctypes/subprocess use without the ``REPRO_NO_CKERNEL`` gate.
 
-    Every native-code escape (compiling or loading the quad or kNN
-    kernel, whether via raw ctypes/subprocess or through the
-    ``load_quad_kernel`` / ``load_knn_kernel`` entry points) must be
-    skippable via ``REPRO_NO_CKERNEL=1`` so the pure-numpy path stays
-    fully testable; a load site in a module that never consults the gate
-    cannot be turned off.  Test modules are exempt (they drive the CLI
+    Every native-code escape (compiling or loading the quad, kNN or
+    halo kernel, whether via raw ctypes/subprocess or through the
+    ``load_quad_kernel`` / ``load_knn_kernel`` / ``load_halo_kernel``
+    entry points) must be skippable via ``REPRO_NO_CKERNEL=1`` so the
+    pure-numpy path stays fully testable; a load site in a module that
+    never consults the gate cannot be turned off.  Test modules are exempt (they drive the CLI
     via subprocess).
     """
 

@@ -4,17 +4,20 @@ Every tile-sharded solve runs through this module, whether its NLC set
 lives in RAM or in an out-of-core store.  Planning (:func:`plan_streamed`)
 scans a :mod:`repro.store` handle in fixed-size row chunks, so peak RSS
 is O(chunk) — a ``ram`` handle makes the scan zero-copy for an in-RAM
-set.  Tile halos come from one grid-binned pass (:func:`_halo_pairs`):
-each disk's bounding box is binned against the grid's cut lines with
-``searchsorted``, and the exact open-disk test runs only on the
-(row, cell) pairs the binning yields, so a plan costs O(rows + halo
-pairs) rather than O(rows x tiles).  The plan keeps each tile's halo
-as a bitmap over its row window, window/8 bytes.  Each tile is solved
-by :func:`run_tile` over just its halo: it attaches the tile's row
-window (:func:`repro.store.attach_slice`), gathers the halo rows into
-a compact set and searches that — in-process, in tile order, by
-:func:`run_tiles` (``solve_streamed`` and ``ShardedMaxFirst``'s
-``mode="tiles"``), or in a pool worker by
+set.  Tile halos come from one grid-binned pass (:class:`_HaloScan`):
+each disk's bounding box is binned against the grid's cut lines, and
+the exact open-disk test runs only on the (row, cell) pairs the binning
+yields, so a plan costs O(rows + halo pairs) rather than O(rows x
+tiles).  The compiled kernel ``halo_scan`` (``index/_quadkernel.c``)
+runs the pass in one call per block of rows; without it
+(``REPRO_NO_CKERNEL=1``, or a failed build) :func:`_halo_pairs` runs
+it in numpy with ``searchsorted``, and plans identically.  The plan
+keeps each tile's halo as a bitmap over its row window, window/8
+bytes.  Each tile is solved by :func:`run_tile` over just its halo: it
+attaches the tile's row window (:func:`repro.store.attach_slice`),
+gathers the halo rows into a compact set and searches that —
+in-process, in tile order, by :func:`run_tiles` (``solve_streamed`` and
+``ShardedMaxFirst``'s ``mode="tiles"``), or in a pool worker by
 :func:`repro.engine.pool.solve_tile`.  Each tile reports its found
 regions (:data:`~repro.core.region.FoundRegion`) in store rows, and
 those lists double as the seed covers of later tiles.  :func:`merge`
@@ -29,12 +32,12 @@ the space (and the resolution derived from it) is bit-identical to
 widens every bounding box by a relative slack larger than any rounding
 in its arithmetic, so it can only add pairs, and the pairs it keeps
 pass :meth:`~repro.index.circleset.CircleSet.rects_intersecting`'s
-arithmetic verbatim: each tile's halo, hence its row window and
-candidate count, equals the full-set predicate's.  The halo holds
-*every* disk intersecting its tile, in ascending row order, so a search
-over the gathered halo classifies every quadrant of the tile with the
-same disks, summing the same scores in the same order, as a full-set
-run.  Seed covers translated onto halo positions by
+arithmetic verbatim, in either arm: each tile's halo, hence its row
+window and candidate count, equals the full-set predicate's.  The halo
+holds *every* disk intersecting its tile, in ascending row order, so a
+search over the gathered halo classifies every quadrant of the tile
+with the same disks, summing the same scores in the same order, as a
+full-set run.  Seed covers translated onto halo positions by
 :func:`_halo_seeds` prune exactly as they would over the full set:
 their sizes and score sums stay the full covers', and the score-sum
 exit reads the whole store's score signs
@@ -68,6 +71,7 @@ from repro.core.region import (FoundRegion, OptimalRegion,
                                select_found)
 from repro.core.result import MaxBRkNNResult
 from repro.geometry.rect import Rect
+from repro.index._ckernel import HaloScanArgs, load_halo_kernel
 from repro.index.circleset import CircleSet
 from repro.obs import metrics as _obs_metrics
 from repro.obs.trace import span
@@ -95,9 +99,10 @@ _DEFAULT_CHUNK_ROWS = 262_144
 _HALO_SLACK = 2.0 ** -40
 
 #: Cap on the rows binned and on the (row, cell) pairs tested at once:
-#: the two dozen int64/float64 temporaries per row or pair then fit in
-#: a few MB of cache (measured fastest at 8-16 Ki on a 4 MB-L2 Xeon),
-#: whatever the chunk size or the number of cells a disk spans.
+#: the numpy pass's two dozen int64/float64 temporaries per row or pair
+#: then fit in a few MB of cache (measured fastest at 8-16 Ki on a 4
+#: MB-L2 Xeon), whatever the chunk size or the number of cells a disk
+#: spans.  The compiled scan takes this many rows per call.
 _PAIR_BLOCK = 16_384
 
 
@@ -147,9 +152,10 @@ def _grid_cuts(space: Rect, shards: int) -> tuple[np.ndarray, np.ndarray]:
 
     Both arrays run from the space's low edge to its high edge and are
     non-decreasing (the cut fractions are, and rounding is monotone),
-    which is what lets :func:`_halo_pairs` bin against them with
-    ``searchsorted``.  Near-coincident coordinates can make neighbouring
-    cuts equal; the zero-width cells between them are still cells.
+    which is what lets the halo pass bin against them by binary search
+    (``searchsorted`` in :func:`_halo_pairs`).  Near-coincident
+    coordinates can make neighbouring cuts equal; the zero-width cells
+    between them are still cells.
     """
     if shards < 1:
         raise ValueError("shards must be positive")
@@ -310,28 +316,19 @@ def _halo_offsets(halo: bytes) -> np.ndarray:
     return np.flatnonzero(bits.view(np.bool_))
 
 
-def _set_halo_bits(bits: dict[int, np.ndarray], lo_row: np.ndarray,
-                   rows: np.ndarray, cells: np.ndarray,
-                   per_cell: np.ndarray) -> None:
-    """Set one pair block's (row, cell) bits in the tiles' bitmaps.
+def _fold_halo_bits(bits: dict[int, np.ndarray], lo_row: np.ndarray,
+                    tiles: list[int], block: np.ndarray, first: int) -> None:
+    """OR one row block's bytes into the tiles' scan bitmaps.
 
-    While the scan runs, tile ``t``'s bitmap is aligned to whole bytes
-    of store rows: byte ``i`` holds rows ``8 * (lo_row[t] // 8 + i)``
-    onward, and :func:`_packed_halo` re-bases it on ``lo_row[t]`` at
-    the end.  The block's bits land first in a dense ``(cells present,
-    block bytes)`` scratch — its rows are ascending and span at most
-    :data:`_PAIR_BLOCK` rows, so the scratch stays small — and every
-    (row, cell) pair is distinct, so adding the bit values sets them.
+    ``block[i]`` holds tile ``tiles[i]``'s bits of the block: byte ``j``
+    covers store rows ``8 * (first + j)`` onward.  While the scan runs,
+    tile ``t``'s bitmap is aligned to whole bytes of store rows: byte
+    ``i`` holds rows ``8 * (lo_row[t] // 8 + i)`` onward, and
+    :func:`_packed_halo` re-bases it on ``lo_row[t]`` at the end.
+    ``lo_row`` already counts the block's rows.
     """
-    present = np.flatnonzero(per_cell)
-    slot = np.zeros(per_cell.shape[0], dtype=np.int64)
-    slot[present] = np.arange(present.shape[0], dtype=np.int64)
-    first = int(rows[0]) >> 3
-    width = (int(rows[-1]) >> 3) - first + 1
-    block = np.zeros((present.shape[0], width), dtype=np.uint8)
-    np.add.at(block.reshape(-1), slot[cells] * width + (rows >> 3) - first,
-              np.left_shift(1, rows & 7).astype(np.uint8))
-    for i, t in enumerate(present.tolist()):
+    width = block.shape[1]
+    for t, row in zip(tiles, block):
         # A tile first met inside this block starts past its first
         # byte; the bytes before its own start are zero.
         start = first - (int(lo_row[t]) >> 3)
@@ -344,7 +341,104 @@ def _set_halo_bits(bits: dict[int, np.ndarray], lo_row: np.ndarray,
             if buf is not None:
                 grown[:buf.shape[0]] = buf
             bits[t] = buf = grown
-        buf[start + skip:end] |= block[i, skip:]
+        buf[start + skip:end] |= row[skip:]
+
+
+def _set_halo_bits(bits: dict[int, np.ndarray], lo_row: np.ndarray,
+                   rows: np.ndarray, cells: np.ndarray,
+                   per_cell: np.ndarray) -> None:
+    """Set one pair block's (row, cell) bits in the tiles' bitmaps.
+
+    The block's bits land first in a dense ``(cells present, block
+    bytes)`` scratch — its rows are ascending and span at most
+    :data:`_PAIR_BLOCK` rows, so the scratch stays small — and every
+    (row, cell) pair is distinct, so adding the bit values sets them;
+    :func:`_fold_halo_bits` then ORs the scratch into the bitmaps.
+    """
+    present = np.flatnonzero(per_cell)
+    slot = np.zeros(per_cell.shape[0], dtype=np.int64)
+    slot[present] = np.arange(present.shape[0], dtype=np.int64)
+    first = int(rows[0]) >> 3
+    width = (int(rows[-1]) >> 3) - first + 1
+    block = np.zeros((present.shape[0], width), dtype=np.uint8)
+    np.add.at(block.reshape(-1), slot[cells] * width + (rows >> 3) - first,
+              np.left_shift(1, rows & 7).astype(np.uint8))
+    _fold_halo_bits(bits, lo_row, present.tolist(), block, first)
+
+
+class _HaloScan:
+    """The halo pass's per-tile state, fed one store chunk at a time.
+
+    ``lo_row`` and ``last_row`` are each tile's first and last halo row
+    (the store length and -1 while it has none), ``counts`` its halo
+    size, ``contained`` whether some disk contains it at ``graze_tol``,
+    and ``bits`` its scan bitmap (:func:`_fold_halo_bits`).  With the
+    compiled kernel each block of :data:`_PAIR_BLOCK` rows is one
+    ``halo_scan`` call that bins, tests and updates in one pass and
+    leaves the block's bits in a ``(tiles, block bytes)`` scratch;
+    without it :func:`_halo_pairs` yields the same hits in numpy
+    blocks.  Both arms fold bits through :func:`_fold_halo_bits`, and
+    every field is an integer or a flag computed by the same IEEE
+    operations, so they plan identically.
+    """
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, graze_tol: float,
+                 length: int) -> None:
+        n_tiles = (xs.shape[0] - 1) * (ys.shape[0] - 1)
+        self.xs, self.ys, self.graze_tol = xs, ys, graze_tol
+        self.lo_row = np.full(n_tiles, length, dtype=np.int64)
+        self.last_row = np.full(n_tiles, -1, dtype=np.int64)
+        self.counts = np.zeros(n_tiles, dtype=np.int64)
+        self.contained = np.zeros(n_tiles, dtype=np.bool_)
+        self.bits: dict[int, np.ndarray] = {}
+        self._kernel = load_halo_kernel()
+        if self._kernel is None:
+            return
+        # A block that starts mid-byte spans one byte more than its
+        # rows fill.
+        stride = (_PAIR_BLOCK + 6) // 8 + 1
+        self._block_counts = np.empty(n_tiles, dtype=np.int64)
+        self._scratch = np.empty((n_tiles, stride), dtype=np.uint8)
+        # The struct holds raw pointers: the arrays live on self.
+        self._args = HaloScanArgs(
+            xs.ctypes.data, ys.ctypes.data, xs.shape[0] - 1,
+            ys.shape[0] - 1, _HALO_SLACK, graze_tol,
+            *(a.ctypes.data for a in (
+                self.lo_row, self.last_row, self.counts, self.contained,
+                self._block_counts, self._scratch)), stride)
+
+    def scan(self, chunk: CircleSet, lo: int) -> None:
+        """Add the halo hits of ``chunk``, store rows ``lo`` onward."""
+        if self._kernel is None:
+            self._scan_numpy(chunk, lo)
+            return
+        for first in range(0, len(chunk), _PAIR_BLOCK):
+            block = slice(first, first + _PAIR_BLOCK)
+            cx, cy, r = (np.ascontiguousarray(column[block],
+                                              dtype=np.float64)
+                         for column in (chunk.cx, chunk.cy, chunk.r))
+            n, base = cx.shape[0], lo + first
+            if self._kernel(self._args, cx.ctypes.data, cy.ctypes.data,
+                            r.ctypes.data, n, base) != 0:
+                raise RuntimeError(
+                    f"halo scan: {n} rows overflow the block scratch")
+            present = np.flatnonzero(self._block_counts)
+            width = ((base + n - 1) >> 3) - (base >> 3) + 1
+            _fold_halo_bits(self.bits, self.lo_row, present.tolist(),
+                            self._scratch[present, :width], base >> 3)
+
+    def _scan_numpy(self, chunk: CircleSet, lo: int) -> None:
+        for rows, cells, inside in _halo_pairs(chunk, self.xs, self.ys,
+                                               self.graze_tol):
+            if rows.shape[0] == 0:
+                continue
+            rows += lo
+            np.minimum.at(self.lo_row, cells, rows)
+            np.maximum.at(self.last_row, cells, rows)
+            per_cell = np.bincount(cells, minlength=self.counts.shape[0])
+            self.counts += per_cell
+            self.contained[cells[inside]] = True
+            _set_halo_bits(self.bits, self.lo_row, rows, cells, per_cell)
 
 
 def _packed_halo(buf: np.ndarray, lo: int, hi: int) -> bytes:
@@ -399,6 +493,32 @@ def _chunk_bounds(length: int, chunk_rows: int) -> Iterator[tuple[int, int]]:
         yield lo, min(lo + chunk_rows, length)
 
 
+def _resolution(space: Rect, resolution_fraction: float) -> float:
+    """The geometric resolution MaxFirst derives from ``space``."""
+    return max(space.width, space.height) * resolution_fraction
+
+
+def check_plan(plan: StreamPlan, rows: int, resolution_fraction: float,
+               holder: str) -> None:
+    """Raise ``ValueError`` unless ``plan`` fits a solve over ``rows``
+    rows of ``holder`` at ``resolution_fraction``.
+
+    Windows planned over a shorter store pass ``check_slice`` and would
+    silently solve only a prefix of a longer one, and tiles search at
+    ``plan.resolution``, so a plan made at another fraction would
+    silently solve at that one instead of the solver's.
+    """
+    if plan.rows != rows:
+        raise ValueError(f"plan was made over {plan.rows} rows, the "
+                         f"{holder} has {rows}")
+    resolution = _resolution(plan.space, resolution_fraction)
+    if plan.resolution != resolution:
+        raise ValueError(
+            f"plan was made at resolution {plan.resolution!r}, the "
+            f"solver's resolution_fraction {resolution_fraction!r} "
+            f"gives {resolution!r}")
+
+
 def plan_streamed(handle: StoreHandle, shards: int, *,
                   resolution_fraction: float | None = None,
                   chunk_rows: int = _DEFAULT_CHUNK_ROWS) -> StreamPlan:
@@ -406,24 +526,29 @@ def plan_streamed(handle: StoreHandle, shards: int, *,
 
     Two O(chunk)-memory passes over the store: the first unions slice
     bounding boxes into the data space and checks the score signs; the
-    second runs the grid-binned halo pass (:func:`_halo_pairs`) over
+    second runs the grid-binned halo pass (:class:`_HaloScan`) over
     each chunk, which sets each tile's halo bits — and so its row
     window — at O(rows + halo pairs) and flags the tiles some disk
     contains.  The halo bitmaps are the plan's only O(windows) part,
     window/8 bytes per tile.  Only contained tiles can have a nonzero
     root ``m̂in``, so only they are classified, over their halos, for
     the Theorem 2 seed bound.  Every quantity is independent of
-    ``chunk_rows`` (see the module docstring).
+    ``chunk_rows`` (see the module docstring).  ``resolution_fraction``
+    must be finite and non-negative, as :class:`MaxFirst` requires.
     """
     if shards < 1:
         raise ValueError("shards must be positive")
     if chunk_rows < 1:
         raise ValueError("chunk_rows must be positive")
+    if resolution_fraction is None:
+        resolution_fraction = MaxFirst().resolution_fraction
+    if not (math.isfinite(resolution_fraction)
+            and resolution_fraction >= 0):
+        raise ValueError("resolution_fraction must be finite and "
+                         f"non-negative, got {resolution_fraction!r}")
     length = int(handle[2])
     if length == 0:
         raise ValueError("cannot plan over an empty NLC store")
-    if resolution_fraction is None:
-        resolution_fraction = MaxFirst().resolution_fraction
 
     with span("stream/scan_bbox", rows=length):
         xmin = ymin = np.inf
@@ -449,40 +574,28 @@ def plan_streamed(handle: StoreHandle, shards: int, *,
     # The GLOBAL space sizes the resolution/graze tolerance; a tile must
     # classify at it, or its Q.I/Q.C sets (hence score sums) diverge
     # from the single-process run.
-    resolution = max(space.width, space.height) * resolution_fraction
+    resolution = _resolution(space, resolution_fraction)
     xs, ys = _grid_cuts(space, shards)
     tiles = tile_grid(space, shards)
     n_tiles = len(tiles)
 
     with span("stream/scan_windows", rows=length, tiles=n_tiles):
-        lo_row = np.full(n_tiles, length, dtype=np.int64)
-        last_row = np.full(n_tiles, -1, dtype=np.int64)
-        counts = np.zeros(n_tiles, dtype=np.int64)
-        contained = np.zeros(n_tiles, dtype=bool)
-        bits: dict[int, np.ndarray] = {}
+        scan = _HaloScan(xs, ys, resolution, length)
         for lo, hi in _chunk_bounds(length, chunk_rows):
             # repro: store-lifecycle(uncached slice window; the views
             # die when `chunk` is rebound on the next iteration)
             chunk = nlc_store.attach_slice(handle, lo, hi)
-            for rows, cells, inside in _halo_pairs(chunk, xs, ys,
-                                                   resolution):
-                if rows.shape[0] == 0:
-                    continue
-                rows += lo
-                np.minimum.at(lo_row, cells, rows)
-                np.maximum.at(last_row, cells, rows)
-                per_cell = np.bincount(cells, minlength=n_tiles)
-                counts += per_cell
-                contained[cells[inside]] = True
-                _set_halo_bits(bits, lo_row, rows, cells, per_cell)
+            scan.scan(chunk, lo)
         # Unmap the last chunk inside the span that mapped it.
         del chunk
 
-    kept = np.flatnonzero(counts).tolist()  # nothing scores elsewhere
-    windows = tuple((int(lo_row[t]), int(last_row[t]) + 1) for t in kept)
-    halos = tuple(_packed_halo(bits.pop(t), lo, hi)
+    # Nothing scores where no disk reaches.
+    kept = np.flatnonzero(scan.counts).tolist()
+    windows = tuple((int(scan.lo_row[t]), int(scan.last_row[t]) + 1)
+                    for t in kept)
+    halos = tuple(_packed_halo(scan.bits.pop(t), lo, hi)
                   for t, (lo, hi) in zip(kept, windows))
-    kept_counts = tuple(int(counts[t]) for t in kept)
+    kept_counts = tuple(int(scan.counts[t]) for t in kept)
     _HALO_ASSIGNMENTS.add(sum(kept_counts))
 
     # The root m̂in of a tile classified over its halo equals the
@@ -494,7 +607,7 @@ def plan_streamed(handle: StoreHandle, shards: int, *,
     seed_bound = 0.0
     roots = [(tiles[t], window, halo)
              for t, window, halo in zip(kept, windows, halos)
-             if contained[t]]
+             if scan.contained[t]]
     with span("stream/seed_bound", tiles=len(roots)):
         for tile, window, halo in roots:
             nlcs, _ = _halo_set(handle, window, halo)
@@ -664,12 +777,9 @@ def solve_streamed(handle: StoreHandle, *, shards: int = 2,
         plan = plan_streamed(handle, shards,
                              resolution_fraction=solver.resolution_fraction,
                              chunk_rows=chunk_rows)
-    elif plan.rows != int(handle[2]):
-        # Windows planned over a shorter store pass check_slice and
-        # would silently solve only a prefix of this one.
-        raise ValueError(
-            f"plan was made over {plan.rows} rows, the store has "
-            f"{int(handle[2])}")
+    else:
+        check_plan(plan, int(handle[2]), solver.resolution_fraction,
+                   "store")
     t1 = time.perf_counter()
     _SHARD_TASKS.add(plan.n_shards)
     outputs = run_tiles(handle, plan, maxfirst_options, sync_interval)

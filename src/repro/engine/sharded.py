@@ -75,8 +75,8 @@ from repro.core.problem import MaxBRkNNProblem
 from repro.core.quadrant import MaxFirstStats
 from repro.core.region import OptimalRegion, found_regions
 from repro.core.result import MaxBRkNNResult
-from repro.engine.outofcore import (StreamPlan, TileOutput, merge,
-                                    plan_streamed, run_tiles)
+from repro.engine.outofcore import (StreamPlan, TileOutput, check_plan,
+                                    merge, plan_streamed, run_tiles)
 from repro.index.circleset import CircleSet
 from repro.obs import metrics as _obs_metrics
 from repro.obs.trace import TRACER, span
@@ -213,13 +213,13 @@ class ShardedMaxFirst:
         """Run Phase I over every planned tile.
 
         Raises ``ValueError`` when ``plan`` was made over a different
-        number of rows than ``nlcs`` holds: its halos name rows of
-        another set, and solving with them drops or misreads disks.
+        number of rows than ``nlcs`` holds (its halos name rows of
+        another set, and solving with them drops or misreads disks), or
+        at another resolution than this solver's (its tiles would
+        search at that one).
         """
-        if plan.rows != len(nlcs):
-            raise ValueError(
-                f"plan was made over {plan.rows} rows, the NLC set has "
-                f"{len(nlcs)}")
+        check_plan(plan, len(nlcs), self._solver.resolution_fraction,
+                   "NLC set")
         if plan.n_shards == 0:
             return []
         _SHARD_TASKS.add(plan.n_shards)

@@ -1,17 +1,20 @@
-"""Build-and-load shim for the compiled kernels (quad split + kNN).
+"""Build-and-load shim for the compiled kernels (quad split, kNN, halo scan).
 
 ``_quadkernel.c`` (next to this module) is compiled on first use with the
 system C compiler into a shared library cached under a private per-user
 cache directory, keyed by a hash of the source and compile flags, then
 loaded through :mod:`ctypes`.  The library carries every compiled entry
 point — ``classify_quad_split`` for the Phase I quadrant split (the
-children's classification and score sums), and ``knn_tree_build`` /
+children's classification and score sums); ``knn_tree_build`` /
 ``knn_tree_search`` for NLC construction (an exact kNN over a static
 bucket kd-tree of the sites, built once per site set and pruned only by
 box distances strictly beyond the current k-th neighbour, so it matches
-the numpy scan bit for bit) — and is
-built and loaded exactly once per process; :func:`load_quad_kernel` and
-:func:`load_knn_kernel` hand out the configured functions.  Everything is
+the numpy scan bit for bit); and ``halo_scan`` for the out-of-core
+planner (one block of rows binned against the tile grid and tested
+against each cell it may meet, as the numpy pass does pair by pair) —
+and is built and loaded exactly once per process;
+:func:`load_quad_kernel`, :func:`load_knn_kernel` and
+:func:`load_halo_kernel` hand out the configured functions.  Everything is
 best-effort: an *expected* failure — no compiler, unwritable cache dir,
 unsupported platform, a stale or unloadable library — emits a
 :class:`RuntimeWarning` naming the fallback and degrades to ``None``,
@@ -46,7 +49,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from typing import Any, NamedTuple
+from typing import Any, Callable, NamedTuple, cast
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "_quadkernel.c")
@@ -206,10 +209,40 @@ def _configure_knn_search(fn) -> None:
     ]
 
 
+class HaloScanArgs(ctypes.Structure):
+    """The fixed arguments of ``halo_scan`` (its ``halo_scan_args``
+    struct): the grid's cut lines, the per-cell accumulators of the
+    whole scan and the per-block scratch.  The planner fills one per
+    plan and passes it with each block's rows."""
+
+    _fields_ = [
+        ("xs", ctypes.c_void_p), ("ys", ctypes.c_void_p),
+        ("nx", ctypes.c_int64), ("ny", ctypes.c_int64),
+        ("slack", ctypes.c_double), ("graze_tol", ctypes.c_double),
+        ("first_row", ctypes.c_void_p), ("last_row", ctypes.c_void_p),
+        ("counts", ctypes.c_void_p), ("contained", ctypes.c_void_p),
+        ("block_counts", ctypes.c_void_p), ("block_bits", ctypes.c_void_p),
+        ("stride", ctypes.c_int64),
+    ]
+
+
+def _configure_halo(fn) -> None:
+    """ctypes signature for ``halo_scan``."""
+    c_i64 = ctypes.c_int64
+    ptr = ctypes.c_void_p
+    fn.restype = ctypes.c_int
+    fn.argtypes = [
+        ctypes.POINTER(HaloScanArgs),
+        ptr, ptr, ptr,  # cx, cy, r (n,)
+        c_i64, c_i64,   # n, store row of cx[0]
+    ]
+
+
 _ENTRY_POINTS = {
     "classify_quad_split": _configure_quad,
     "knn_tree_build": _configure_knn_build,
     "knn_tree_search": _configure_knn_search,
+    "halo_scan": _configure_halo,
 }
 
 
@@ -281,3 +314,11 @@ def load_knn_kernel() -> KnnKernel | None:
     if build is None or search is None:
         return None
     return KnnKernel(build, search)
+
+
+def load_halo_kernel() -> Callable[..., int] | None:
+    """The compiled ``halo_scan`` entry point, or ``None``.
+
+    The result (including a failed load) is cached for the process.
+    """
+    return cast("Callable[..., int] | None", _entries()["halo_scan"])

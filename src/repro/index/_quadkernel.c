@@ -1,8 +1,9 @@
-/* Compiled hot kernels: MaxFirst's batched quadrant split (first) and
- * the exact tree-pruned kNN of NLC construction (knn_tree_build /
- * knn_tree_search, further down, with their own exactness argument).
- * Both are bit-identical to numpy fallbacks selected by
- * REPRO_NO_CKERNEL=1.
+/* Compiled hot kernels: MaxFirst's batched quadrant split (first), the
+ * exact tree-pruned kNN of NLC construction (knn_tree_build /
+ * knn_tree_search) and the out-of-core planner's tile-halo scan
+ * (halo_scan, last), the latter two with their own exactness arguments
+ * further down.  All three are bit-identical to numpy fallbacks
+ * selected by REPRO_NO_CKERNEL=1.
  *
  * The quadrant split classifies every candidate disk against the four
  * children of one rectangle split at (px, py) in a single pass.  The
@@ -41,6 +42,7 @@
 
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 #include <math.h>
 
 static inline double dmax(double a, double b) { return a > b ? a : b; }
@@ -416,5 +418,147 @@ int knn_tree_search(
     }
     free(hd);
     free(hi);
+    return 0;
+}
+
+/* Tile-halo scan of the out-of-core planner (plan_streamed in
+ * repro/engine/outofcore.py): one block of store rows against the tile
+ * grid's cut lines, in one sequential pass.
+ *
+ * Per row, each axis of the disk's extent, widened by the relative
+ * slack, is binned against the cut lines: the first cell whose high cut
+ * reaches c - reach (np.searchsorted(cuts[1:], c - reach, "left")) up
+ * to the last whose low cut does not pass c + reach
+ * (np.searchsorted(cuts[:-1], c + reach, "right")), with
+ * reach = (|c| + r) * slack + r.  Each (row, cell) pair of that span
+ * then takes rects_intersecting's open-disk test, and each hit
+ * RectClassifier's graze containment test.  A hit updates the cell's
+ * first and last row, its count and its contained flag, and sets the
+ * row's bit in the cell's row of the block scratch.
+ *
+ * Bit-identity contract with the numpy pass (_halo_pairs): the cut
+ * lines are non-decreasing, so the binary searches below return
+ * numpy's insertion points for every non-NaN bound.  A NaN bound comes
+ * only from a NaN or infinite centre or radius and may bin differently
+ * (numpy sorts NaN last), but then every pair test fails in both: no
+ * comparison with NaN holds, and an infinite centre puts each gap at
+ * infinity or NaN.  The pair tests repeat the numpy
+ * expressions operand for operand: the near gap per axis is
+ * max(max(lo - c, 0), c - hi), a hit is dx*dx + dy*dy < r*r; the far
+ * gap is min(lo - c, c - hi) and containment fx*fx + fy*fy <= ro*ro
+ * with ro = r + graze_tol — each multiply and add rounded separately
+ * (-ffp-contract=off), so every comparison gives numpy's boolean.
+ * Every output is an integer or a flag, and none depends on the order
+ * rows or cells are visited in.
+ *
+ * The block scratch row of cell t covers the block's bytes of store
+ * rows: byte j holds rows 8 * ((base >> 3) + j) onward.  It is zeroed
+ * at the cell's first hit in the block, so only block_counts[t] > 0
+ * marks a row worth reading.  Returns 0, or -1 (and does nothing) when
+ * the block's rows span more bytes than the scratch stride.
+ */
+
+static inline double dmin(double a, double b) { return a < b ? a : b; }
+
+/* np.searchsorted(a, v, side="left") over a non-decreasing run of
+ * n >= 1 entries: the number of entries below v.  Branch-free: the
+ * halving steps depend on n alone, and each comparison only moves the
+ * base, so a row of random centres costs no mispredicted branches. */
+static inline int64_t search_left(const double *a, int64_t n, double v)
+{
+    const double *base = a;
+    while (n > 1) {
+        const int64_t half = n / 2;
+        base += (base[half] < v) * half;
+        n -= half;
+    }
+    return (base - a) + (*base < v);
+}
+
+/* np.searchsorted(a, v, side="right"): the number of entries at or
+ * below v. */
+static inline int64_t search_right(const double *a, int64_t n, double v)
+{
+    const double *base = a;
+    while (n > 1) {
+        const int64_t half = n / 2;
+        base += (base[half] <= v) * half;
+        n -= half;
+    }
+    return (base - a) + (*base <= v);
+}
+
+typedef struct {
+    const double *xs, *ys;  /* cut lines: nx + 1 and ny + 1 of them    */
+    int64_t nx, ny;         /* cell iy * nx + ix: xs[ix], ys[iy] up    */
+    double slack;           /* relative widening of every extent       */
+    double graze_tol;       /* the containment test's tolerance        */
+    int64_t *first_row;     /* (nx * ny) smallest hit store row        */
+    int64_t *last_row;      /* (nx * ny) largest hit store row         */
+    int64_t *counts;        /* (nx * ny) hits so far                   */
+    uint8_t *contained;     /* (nx * ny) bool: a hit contains the cell */
+    int64_t *block_counts;  /* (nx * ny) hits in the current block     */
+    uint8_t *block_bits;    /* (nx * ny, stride) the block's row bits  */
+    int64_t stride;
+} halo_scan_args;
+
+int halo_scan(
+    const halo_scan_args *args,
+    const double *cx, const double *cy, const double *r,  /* (n,) */
+    int64_t n,
+    int64_t base)           /* store row of the block's first row */
+{
+    const double *xs = args->xs, *ys = args->ys;
+    const int64_t nx = args->nx, ny = args->ny, stride = args->stride;
+    const double slack = args->slack, graze_tol = args->graze_tol;
+    int64_t *first_row = args->first_row, *last_row = args->last_row;
+    int64_t *counts = args->counts, *block_counts = args->block_counts;
+    uint8_t *contained = args->contained, *block_bits = args->block_bits;
+    const int64_t first = base >> 3;
+    const int64_t width = n > 0 ? ((base + n - 1) >> 3) - first + 1 : 0;
+    if (width > stride)
+        return -1;
+    memset(block_counts, 0, (size_t)(nx * ny) * sizeof(int64_t));
+    for (int64_t i = 0; i < n; i++) {
+        const double x = cx[i], y = cy[i], rr = r[i];
+        const double reach_x = (fabs(x) + rr) * slack + rr;
+        const double reach_y = (fabs(y) + rr) * slack + rr;
+        const int64_t col_lo = search_left(xs + 1, nx, x - reach_x);
+        const int64_t col_hi = search_right(xs, nx, x + reach_x);
+        const int64_t row_lo = search_left(ys + 1, ny, y - reach_y);
+        const int64_t row_hi = search_right(ys, ny, y + reach_y);
+        const double r2 = rr * rr;
+        const double ro = rr + graze_tol;
+        const double ro2 = ro * ro;
+        const int64_t row = base + i;
+        const int64_t byte = (row >> 3) - first;
+        const uint8_t bit = (uint8_t)(1u << (row & 7));
+        for (int64_t iy = row_lo; iy < row_hi; iy++) {
+            const double ay = ys[iy] - y;
+            const double by = y - ys[iy + 1];
+            const double dy = dmax(dmax(ay, 0.0), by);
+            const double fy = dmin(ay, by);
+            for (int64_t ix = col_lo; ix < col_hi; ix++) {
+                const double ax = xs[ix] - x;
+                const double bx = x - xs[ix + 1];
+                const double dx = dmax(dmax(ax, 0.0), bx);
+                if (!(dx * dx + dy * dy < r2))
+                    continue;
+                const double fx = dmin(ax, bx);
+                const int64_t t = iy * nx + ix;
+                uint8_t *bits = block_bits + t * stride;
+                if (block_counts[t]++ == 0)
+                    memset(bits, 0, (size_t)width);
+                bits[byte] |= bit;
+                counts[t]++;
+                if (row < first_row[t])
+                    first_row[t] = row;
+                if (row > last_row[t])
+                    last_row[t] = row;
+                if (fx * fx + fy * fy <= ro2)
+                    contained[t] = 1;
+            }
+        }
+    }
     return 0;
 }

@@ -71,6 +71,11 @@ COUNTER_KEYS: tuple[str, ...] = (
     "serve_cache_hits",
     "serve_cache_misses",
     "serve_cache_evictions",
+    "serve_errors_400",
+    "serve_errors_404",
+    "serve_errors_408",
+    "serve_errors_413",
+    "serve_errors_500",
     "heatmap_tiles_filled",
 ) + TRANSPORT_COUNTER_KEYS
 

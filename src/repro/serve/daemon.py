@@ -31,7 +31,8 @@ before anything is read, and a body that stalls past
 Anything else a route raises — a batch that outlives
 ``request_timeout``, a batch that raises, a bug — is an HTTP 500 with
 the same envelope, so every request gets exactly one well-formed reply
-and the keep-alive connection survives.
+and the keep-alive connection survives.  Each error reply counts once
+in its class's ``serve_errors_<status>`` counter (``/metrics``).
 """
 
 from __future__ import annotations
@@ -55,6 +56,13 @@ from repro.serve.service import QueryService
 __all__ = ["ServeDaemon", "problem_from_doc"]
 
 _LOG = logging.getLogger(__name__)
+
+#: One counter per HTTP error class the handler answers with.  Handler
+#: threads raise them concurrently, and a counter's add is a read then
+#: a write, so the lock keeps two errors of one class from counting once.
+_SERVE_ERRORS = {status: _obs_metrics.counter(f"serve_errors_{status}")
+                 for status in (400, 404, 408, 413, 500)}
+_SERVE_ERRORS_LOCK = threading.Lock()
 
 #: Largest request body read (256 MiB, far above any publish body the
 #: repo sends); a longer declared ``Content-Length`` gets a 413.
@@ -161,6 +169,12 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
+    def _send_error_json(self, status: int, message: str) -> None:
+        """One error envelope, counted in its class's counter first."""
+        with _SERVE_ERRORS_LOCK:
+            _SERVE_ERRORS[status].add()
+        self._send_json(status, {"error": message})
+
     def _read_json(self) -> dict[str, Any]:
         header = self.headers.get("Content-Length") or "0"
         if not (header.isascii() and header.isdigit()):
@@ -210,7 +224,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "counters": _obs_metrics.REGISTRY.snapshot(),
                 "gauges": _obs_metrics.REGISTRY.gauges_snapshot()})
         else:
-            self._send_json(404, {"error": f"unknown path {self.path}"})
+            self._send_error_json(404, f"unknown path {self.path}")
 
     def do_POST(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
         daemon: "ServeDaemon" = self.server.daemon  # type: ignore[attr-defined]
@@ -241,21 +255,20 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(200, {"status": "stopping"})
                 daemon.request_shutdown()
             else:
-                self._send_json(404,
-                                {"error": f"unknown path {self.path}"})
+                self._send_error_json(404, f"unknown path {self.path}")
         except _BodyTooLarge as exc:
-            self._send_json(413, {"error": str(exc)})
+            self._send_error_json(413, str(exc))
         except _BodyTimeout as exc:
-            self._send_json(408, {"error": str(exc)})
+            self._send_error_json(408, str(exc))
         except (ValueError, json.JSONDecodeError) as exc:
-            self._send_json(400, {"error": str(exc)})
+            self._send_error_json(400, str(exc))
         except Exception as exc:
             # The request boundary: whatever else a route raised (a
             # batch TimeoutError or failure, a bug) still ends in one
             # well-formed reply instead of a dead handler thread and a
             # reset keep-alive connection.
             _LOG.exception("serve: POST %s failed", self.path)
-            self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
+            self._send_error_json(500, f"{type(exc).__name__}: {exc}")
 
 
 class ServeDaemon:

@@ -145,6 +145,21 @@ class TestScoping:
         assert module.is_test
         assert findings == []
 
+    def test_rpr006_covers_the_halo_loader(self, tmp_path):
+        src = tmp_path / "planner.py"
+        src.write_text(
+            "from repro.index._ckernel import load_halo_kernel\n"
+            "\n"
+            "def scan():\n"
+            "    return load_halo_kernel()\n",
+            encoding="utf-8")
+        findings = lint_file(src, relpath="src/planner.py")
+        assert [f.code for f in findings] == ["RPR006"]
+        src.write_text(src.read_text(encoding="utf-8")
+                       + "# REPRO_NO_CKERNEL=1 selects the numpy pass.\n",
+                       encoding="utf-8")
+        assert lint_file(src, relpath="src/planner.py") == []
+
     def test_rpr006_exempts_test_modules(self):
         assert lint_file(FIXTURES / "rpr006_bad.py",
                          relpath="tests/test_cli.py", is_test=True) == []

@@ -21,7 +21,7 @@ from repro.core.nlc import build_nlcs, nlc_space
 from repro.core.problem import MaxBRkNNProblem
 from repro.datasets.synthetic import (striped_uniform_chunks,
                                       synthetic_instance, uniform_points)
-from repro.engine import outofcore
+from repro.engine import ShardedMaxFirst, outofcore
 from repro.engine.outofcore import (StreamPlan, plan_streamed,
                                     solve_streamed, tile_grid)
 from repro.geometry.rect import Rect
@@ -330,3 +330,35 @@ class TestStalePlan:
             solve_streamed(large.handle, plan=plan)
         fresh = solve_streamed(large.handle, shards=4)
         assert fresh.score > solve_streamed(small.handle, plan=plan).score
+
+    def test_plan_at_another_resolution_rejected(self, published):
+        """Tiles search at ``plan.resolution``: without the check a plan
+        made at the default fraction solved a ``1e-2`` request at the
+        default one (57.5 instead of 55.5 on this instance)."""
+        customers, sites = synthetic_instance(400, 12, "uniform", seed=3)
+        nlcs = build_nlcs(MaxBRkNNProblem(customers, sites, k=2))
+        handle = published(nlcs, "ram").handle
+        plan = plan_streamed(handle, 4)
+        coarse = plan_streamed(handle, 4, resolution_fraction=1e-2)
+        want = solve_streamed(handle, shards=4, resolution_fraction=1e-2)
+        with pytest.raises(ValueError, match=(
+                f"resolution {plan.resolution!r}.*resolution_fraction "
+                f"0.01 gives {coarse.resolution!r}")):
+            solve_streamed(handle, plan=plan, resolution_fraction=1e-2)
+        with pytest.raises(ValueError, match="resolution_fraction 0.01"):
+            ShardedMaxFirst(shards=4, mode="tiles",
+                            resolution_fraction=1e-2).execute(nlcs, plan)
+        with pytest.raises(ValueError, match="resolution_fraction 1e-09"):
+            ShardedMaxFirst(shards=4, mode="tiles").execute(nlcs, coarse)
+        assert solve_streamed(handle, plan=coarse,
+                              resolution_fraction=1e-2).score == want.score
+
+    @pytest.mark.parametrize("fraction", [float("nan"), float("inf"),
+                                          -1e-9])
+    def test_non_finite_or_negative_fraction_rejected(self, fraction,
+                                                      published):
+        """A NaN fraction used to plan, and solving with that plan
+        returned 0.0."""
+        handle = published(_nlcs(3), "ram").handle
+        with pytest.raises(ValueError, match="resolution_fraction must be"):
+            plan_streamed(handle, 4, resolution_fraction=fraction)

@@ -46,6 +46,26 @@ def _publish_body(serve_problem):
             "k": serve_problem.k}
 
 
+_ERROR_CLASSES = (400, 404, 408, 413, 500)
+
+
+def _error_counts(daemon):
+    """The daemon's ``serve_errors_<status>`` counters via ``/metrics``."""
+    with ServeClient(*daemon.address) as client:
+        counters = client.metrics()["counters"]
+    return {status: counters.get(f"serve_errors_{status}", 0)
+            for status in _ERROR_CLASSES}
+
+
+def _assert_one_more(daemon, before, status):
+    """Exactly one more ``status`` error since ``before``, and no other
+    class moved; returns the counts now."""
+    after = _error_counts(daemon)
+    assert {s: after[s] - before[s] for s in _ERROR_CLASSES} \
+        == {s: int(s == status) for s in _ERROR_CLASSES}
+    return after
+
+
 def _post(conn, path, body: bytes):
     """One POST on a kept connection: ``(status, doc, Connection)``."""
     conn.request("POST", path, body=body,
@@ -101,11 +121,14 @@ class TestEndToEnd:
 class TestEnvelopeErrors:
     def test_unknown_path_is_404(self, daemon):
         host, port = daemon.address
+        errors = _error_counts(daemon)
         with ServeClient(host, port) as client:
             with pytest.raises(ServeError, match="unknown path"):
                 client._request("GET", "/nope")
+            errors = _assert_one_more(daemon, errors, 404)
             with pytest.raises(ServeError, match="unknown path"):
                 client._request("POST", "/nope", {})
+            _assert_one_more(daemon, errors, 404)
 
     def test_malformed_publish_is_400(self, daemon):
         host, port = daemon.address
@@ -216,6 +239,7 @@ class TestFailClosed:
         """A negative length must not reach rfile.read(-1), which would
         block until the client closed its keep-alive connection."""
         host, port = daemon.address
+        errors = _error_counts(daemon)
         conn = HTTPConnection(host, port, timeout=10.0)
         try:
             conn.putrequest("POST", "/query")
@@ -228,6 +252,7 @@ class TestFailClosed:
         assert response.status == 400
         assert response.getheader("Connection") == "close"
         assert "Content-Length" in doc["error"]
+        _assert_one_more(daemon, errors, 400)
 
     @pytest.mark.parametrize("length", [2 ** 30, 10 ** 12])
     def test_oversized_body_is_413_before_reading(self, daemon, length):
@@ -235,6 +260,7 @@ class TestFailClosed:
         read: no allocation of the declared size, and no handler thread
         left waiting for bytes the client never sends."""
         host, port = daemon.address
+        errors = _error_counts(daemon)
         conn = HTTPConnection(host, port, timeout=5.0)
         try:
             conn.putrequest("POST", "/query")
@@ -249,6 +275,7 @@ class TestFailClosed:
         assert "Content-Length" in doc["error"]
         with ServeClient(host, port) as client:
             assert client.health()["status"] == "ok"
+        _assert_one_more(daemon, errors, 413)
 
     def test_stalled_body_is_one_408_then_close(self, daemon, monkeypatch):
         """A client that declares a body and stops sending gets exactly
@@ -256,6 +283,7 @@ class TestFailClosed:
         of pinning a handler thread on the read."""
         monkeypatch.setattr(daemon_module._Handler, "timeout", 0.2)
         host, port = daemon.address
+        errors = _error_counts(daemon)
         with socket.create_connection((host, port), timeout=10.0) as sock:
             sock.sendall(b"POST /query HTTP/1.1\r\nHost: test\r\n"
                          b"Content-Type: application/json\r\n"
@@ -270,6 +298,7 @@ class TestFailClosed:
         assert "stalled" in json.loads(body)["error"]
         with ServeClient(host, port) as client:
             assert client.health()["status"] == "ok"
+        _assert_one_more(daemon, errors, 408)
 
     def test_idle_keep_alive_closes_and_client_reconnects(self, daemon,
                                                           monkeypatch):
@@ -294,6 +323,7 @@ class TestFailClosed:
 
         with ServeClient(host, port) as client:
             instance_id = client.publish(_publish_body(serve_problem))
+            errors = _error_counts(daemon)
             monkeypatch.setattr(QueryService, "execute", stalled_execute)
             daemon.request_timeout = 0.05
             try:
@@ -302,6 +332,7 @@ class TestFailClosed:
                 conn = client._conn
                 assert client.health()["status"] == "ok"
                 assert client._conn is conn  # no reconnect needed
+                _assert_one_more(daemon, errors, 500)
             finally:
                 release.set()
 
@@ -316,6 +347,7 @@ class TestFailClosed:
 
         with ServeClient(host, port) as client:
             instance_id = client.publish(_publish_body(serve_problem))
+        errors = _error_counts(daemon)
         monkeypatch.setattr(QueryService, "execute", failing_execute)
         body = json.dumps({"requests": [
             {"kind": "brknn", "instance": instance_id, "site": site}
@@ -331,6 +363,7 @@ class TestFailClosed:
             assert conn.sock is sock  # no reconnect needed
         finally:
             conn.close()
+        _assert_one_more(daemon, errors, 500)
 
 
 class TestBatchThread:
