@@ -148,11 +148,11 @@ def run(rounds: int = 20) -> dict:
                            "results")
     os.makedirs(out_dir, exist_ok=True)
     for arm, cache_bytes in (("socket_cold", 0), ("socket_warm", None)):
-        proc, host, port = _boot_daemon(out_dir, "shm",
+        proc, host, port = _boot_daemon(out_dir, "memmap",
                                         cache_bytes=cache_bytes)
         try:
             with ServeClient(host, port) as client:
-                instance_id = client.publish(publish_doc("shm"))
+                instance_id = client.publish(publish_doc("memmap"))
                 batch = _bench_batch(instance_id, n_sites)
                 first = client.query(batch)         # warm-up + identity
                 _assert_identity(batch, first, problem, ranks)

@@ -284,7 +284,7 @@ def check_store_drift(repo_root: Path, *,
     in ``repro.store.STORE_NAMES`` must be documented in ``docs/api.md``,
     offered by the CLI ``--store`` choices, and named somewhere under
     ``tests/store/`` — a backend nobody exercises has an unproven
-    lifecycle, which for shm means a potential segment leak.
+    lifecycle, which for memmap means a potential file leak.
     """
     store_path = repo_root / STORE_REL
     if not store_path.is_file():

@@ -6,7 +6,7 @@ Five subcommands::
         --probability 0.8,0.2
     repro-maxbrknn generate --kind uniform -n 1000 -o points.csv --seed 7
     repro-maxbrknn bench --figure fig10a --scale tiny
-    repro-maxbrknn serve --port 0 --store shm
+    repro-maxbrknn serve --port 0 --store memmap
     repro-maxbrknn query --url 127.0.0.1:8421 --instance ID --kind brknn \
         --site 3
 
@@ -33,6 +33,7 @@ from repro.datasets.loader import load_points_csv, save_points_csv
 from repro.datasets.realworld import make_ne, make_ux
 from repro.datasets.synthetic import (clustered_points, normal_points,
                                       uniform_points)
+from repro.store import STORE_NAMES
 
 _FIGURES = {
     "fig8": lambda p: _figures.fig08_effect_of_m(p),
@@ -121,11 +122,10 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--pool", type=int, default=None, metavar="WORKERS",
                        help="worker-process count for pool-mode sharding "
                             "(default: min(shards, cpu count))")
-    solve.add_argument("--store", choices=("ram", "shm", "memmap"),
+    solve.add_argument("--store", choices=STORE_NAMES,
                        default=None,
                        help="NLC storage backend: ram keeps in-process "
-                            "arrays (default), shm publishes one POSIX "
-                            "shared-memory block, memmap a paged "
+                            "arrays (default), memmap publishes a paged "
                             "on-disk file (out-of-core scale tier); "
                             "unset defers to the REPRO_STORE "
                             "environment variable")
@@ -163,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8421,
                        help="bind port; 0 picks an ephemeral one (the "
                             "daemon prints the bound address)")
-    serve.add_argument("--store", choices=("ram", "shm", "memmap"),
+    serve.add_argument("--store", choices=STORE_NAMES,
                        default=None,
                        help="NLC storage backend for published "
                             "instances (unset defers to REPRO_STORE, "
@@ -200,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("--weights", default=None,
                        help="CSV with one weight per customer (with "
                             "--publish)")
-    query.add_argument("--store", choices=("ram", "shm", "memmap"),
+    query.add_argument("--store", choices=STORE_NAMES,
                        default=None,
                        help="storage backend for --publish (daemon "
                             "default otherwise)")

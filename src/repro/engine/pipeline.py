@@ -103,9 +103,9 @@ class SolverPipeline:
 
     def __init__(self, **options: Any) -> None:
         self.options = dict(options)
-        #: Requested NLC storage backend (``"ram"`` / ``"shm"`` /
-        #: ``"memmap"``), popped here so solver constructors never see
-        #: it; ``None`` defers to ``REPRO_STORE`` and then ``"ram"``.
+        #: Requested NLC storage backend (``"ram"`` / ``"memmap"``),
+        #: popped here so solver constructors never see it; ``None``
+        #: defers to ``REPRO_STORE`` and then ``"ram"``.
         self.store_request: str | None = self.options.pop("store", None)
 
     def run(self, problem: MaxBRkNNProblem
@@ -198,13 +198,13 @@ class SolverPipeline:
     def _publish_store(self, ctx: PipelineContext) -> None:
         """Move the built NLC set into the requested storage backend.
 
-        With ``store="shm"`` / ``"memmap"`` the SoA arrays are
-        published once and every later stage reads zero-copy views
-        over the segment / paged file; ``"ram"`` (the default) keeps
-        the in-process arrays untouched.  A solver exposing an
+        ``"ram"`` (the default, for in-process work) keeps the
+        in-process arrays untouched.  With ``store="memmap"`` the SoA
+        arrays are published once into a paged file and every later
+        stage reads zero-copy views over it; a solver exposing an
         ``external_store`` slot (the sharded solver) plans, runs and
-        merges its tiles over the published handle instead of
-        publishing a second copy.
+        merges its tiles — pool workers included — over the published
+        handle instead of publishing a second copy.
         """
         from repro import store as nlc_store
 

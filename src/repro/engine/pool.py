@@ -10,15 +10,13 @@ fallback; ``fork`` is deliberately not used — a forked worker would
 snapshot the parent's metrics registry and tracer mid-solve.
 
 Workers never receive NLC payloads: tiles arrive as a small job tuple
-carrying a storage-backend handle (:mod:`repro.store`), the tile's row
-window ``[lo, hi)`` and its halo bitmap from the plan ((hi - lo)/8
-bytes), and each worker runs the tile engine's per-tile executor
-(:func:`repro.engine.outofcore.run_tile`), which attaches read-only
-views over *just that slice* and gathers the halo rows out of it — an
-``shm``/``memmap`` worker touches O(hi - lo) bytes, not the whole
-store.
-(A ``ram`` handle ships the arrays by value; it is the compatibility
-transport, not the default.)  Tile jobs are submitted individually to
+carrying a ``memmap`` store handle (:mod:`repro.store`; a path and a
+shape), the tile's row window ``[lo, hi)`` and its halo bitmap from the
+plan ((hi - lo)/8 bytes), and each worker runs the tile engine's
+per-tile executor (:func:`repro.engine.outofcore.run_tile`), which maps
+read-only views over *just that slice* and gathers the halo rows out of
+it — a worker touches O(hi - lo) bytes, not the whole store.  Tile
+jobs are submitted individually to
 the executor, whose single internal call queue is the work-stealing
 mechanism: any idle worker pulls the next tile, so a dense tile cannot
 straggle the run behind a static assignment.
@@ -96,7 +94,7 @@ def _epoch_seeds(epoch: int, store_key: str) -> list:
     """This worker's seed list for ``epoch``, rotating stale state.
 
     An epoch turn also drops the previous solve's cached store
-    attachments — the parent unlinks its segment/file right after the
+    attachments — the parent unlinks its store file right after the
     solve, so holding a mapping would only pin dead pages.
     """
     from repro import store as nlc_store

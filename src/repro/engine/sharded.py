@@ -35,8 +35,8 @@ Execution modes
 ---------------
 ``"pool"`` runs tiles on the instance's persistent worker pool
 (:mod:`repro.engine.pool`): the NLC arrays are published once per solve
-through a :mod:`repro.store` backend (``shm`` by default;
-``REPRO_STORE`` picks ``memmap`` / ``ram``), each tile job is
+into a ``memmap`` store (:mod:`repro.store`; the pipeline's own
+``memmap`` store when it already published one), each tile job is
 a small tuple carrying the handle, the tile's row window and its halo
 bitmap (window/8 bytes, no NLC bytes), workers attach only that slice
 and gather just the halo rows, and the executor's single call queue is
@@ -149,7 +149,8 @@ class ShardedMaxFirst:
         self._pool: Any = None
         self._epoch = 0
         #: Test hook: tile indices whose pool job raises (exercises the
-        #: shm-cleanup-on-worker-failure path without killing a worker).
+        #: store-cleanup-on-worker-failure path without killing a
+        #: worker).
         self._fail_tiles: frozenset[int] = frozenset()
 
     # ------------------------------------------------------------------ #
@@ -205,7 +206,7 @@ class ShardedMaxFirst:
     def plan(self, nlcs: CircleSet) -> StreamPlan:
         """Partition the space and assign each tile its halo."""
         return plan_streamed(
-            self._tile_store(nlcs)[0], self.shards,
+            self._tile_store(nlcs), self.shards,
             resolution_fraction=self._solver.resolution_fraction)
 
     def execute(self, nlcs: CircleSet,
@@ -241,13 +242,13 @@ class ShardedMaxFirst:
                     raise RuntimeError(
                         f"pool-mode sharding unavailable: {exc}"
                     ) from exc
-                # Restricted environments (no /dev/shm, no working
-                # spawn) and workers killed mid-run (OOM reaper): the
-                # tiles mode replays the pool's schedule in-process
-                # and computes the identical result.
+                # Restricted environments (no working spawn, no
+                # writable store directory) and workers killed mid-run
+                # (OOM reaper): the tiles mode replays the pool's
+                # schedule in-process and computes the identical result.
                 mode = "tiles"
         if mode == "tiles":
-            return run_tiles(self._tile_store(nlcs)[0], plan,
+            return run_tiles(self._tile_store(nlcs), plan,
                              self.maxfirst_options, self.sync_interval)
         return [self._execute_serial(nlcs, plan)]
 
@@ -258,18 +259,17 @@ class ShardedMaxFirst:
 
     # ------------------------------------------------------------------ #
 
-    def _tile_store(self, nlcs: CircleSet) -> tuple[StoreHandle, bool]:
-        """The store the tile engine reads ``nlcs`` through, and whether
-        it is :attr:`external_store`: the pipeline's published store
-        when it holds these rows, else a zero-copy ``ram`` publish of
-        the in-RAM set."""
+    def _tile_store(self, nlcs: CircleSet) -> StoreHandle:
+        """The store the tile engine reads ``nlcs`` through: the
+        pipeline's published :attr:`external_store` when it holds these
+        rows, else a zero-copy ``ram`` publish of the in-RAM set."""
         owner = self.external_store
         if owner is not None and owner.length == len(nlcs):
-            return owner.handle, True
+            return owner.handle
         # A ram handle carries the arrays themselves, so it stays valid
         # after its owner closes.
         with nlc_store.publish(nlcs, "ram") as ram:
-            return ram.handle, False
+            return ram.handle
 
     def _execute_serial(self, nlcs: CircleSet,
                         plan: StreamPlan) -> TileOutput:
@@ -315,29 +315,28 @@ class ShardedMaxFirst:
         """Pool execution: store publish + work-stealing queue.
 
         The NLC arrays cross the process boundary exactly once per
-        solve, published through the :mod:`repro.store` backend
-        ``REPRO_STORE`` names, else ``shm`` (or reusing
+        solve, as one ``memmap`` store file (reusing
         :attr:`external_store`'s handle when the pipeline already
-        published); each tile job is a small tuple carrying the
-        handle, the tile's row window and its halo bitmap (window/8
-        bytes), so a worker attaches only that slice and gathers just
-        the halo rows out of it.  Jobs are submitted
+        published into ``memmap``; a ``ram`` handle would carry the
+        arrays into every job's pickle); each tile job is a small
+        tuple carrying the handle, the tile's row window and its halo
+        bitmap (window/8 bytes), so a worker attaches only that slice
+        and gathers just the halo rows out of it.  Jobs are submitted
         individually — the executor's call queue is the stealing
         mechanism, so whichever worker goes idle takes the next tile.
-        The segment/file is unlinked in the ``finally`` whatever
-        happens to the workers; Linux keeps the pages alive for
-        already-mapped workers, so a straggler finishing after an
-        unlink is still safe.
+        The file is unlinked in the ``finally`` whatever happens to
+        the workers; Linux keeps the pages alive for already-mapped
+        workers, so a straggler finishing after an unlink is still
+        safe.
         """
         pool = self._ensure_pool()
         trace_enabled = TRACER.enabled
-        handle, external = self._tile_store(nlcs)
+        handle = self._tile_store(nlcs)
         owner: nlc_store.NLCStore | None = None
-        if not external:
-            backend_name = nlc_store.resolve_store_name(default="shm")
+        if handle[0] != "memmap":
             with span("shard/store_publish", nlcs=len(nlcs),
-                      store=backend_name):
-                owner = nlc_store.publish(nlcs, backend_name)
+                      store="memmap"):
+                owner = nlc_store.publish(nlcs, "memmap")
             handle = owner.handle
         self._epoch += 1
         pool.reset_bound(plan.seed_bound)

@@ -36,16 +36,14 @@ __all__ = [
     "zeroed_counters",
 ]
 
-#: Transport counters: byte/job/steal/attach counts of the zero-copy
-#: sharding transport (store publish, pool queue, slice attaches).
-#: Unlike the deterministic work counters they depend on execution mode
-#: and worker topology —
-#: a serial run maps zero shared bytes, a 2-worker pool steals tiles a
+#: Transport counters: job/steal/attach counts of the sharding
+#: transport (pool queue, slice attaches).  Unlike the deterministic
+#: work counters they depend on execution mode and worker topology —
+#: a serial run queues no pool jobs, a 2-worker pool steals tiles a
 #: 1-worker pool cannot — so identity tests and the perf gate must
 #: exclude them.  They stay in ``COUNTER_KEYS`` so every report carries
 #: the full schema.
 TRANSPORT_COUNTER_KEYS: tuple[str, ...] = (
-    "shm_bytes_mapped",
     "pool_tasks",
     "tiles_stolen",
     "store_slice_views",
@@ -75,7 +73,11 @@ COUNTER_KEYS: tuple[str, ...] = (
     "serve_errors_404",
     "serve_errors_408",
     "serve_errors_413",
+    "serve_errors_414",
+    "serve_errors_431",
     "serve_errors_500",
+    "serve_errors_501",
+    "serve_errors_505",
     "heatmap_tiles_filled",
 ) + TRANSPORT_COUNTER_KEYS
 

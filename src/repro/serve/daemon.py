@@ -31,8 +31,12 @@ before anything is read, and a body that stalls past
 Anything else a route raises — a batch that outlives
 ``request_timeout``, a batch that raises, a bug — is an HTTP 500 with
 the same envelope, so every request gets exactly one well-formed reply
-and the keep-alive connection survives.  Each error reply counts once
-in its class's ``serve_errors_<status>`` counter (``/metrics``).
+and the keep-alive connection survives.  A request the stdlib refuses
+before any route runs — a bad request line (400), one over 65,536
+bytes (414), oversized headers (431), an unsupported method (501) or
+HTTP version (505) — gets the same envelope, then the connection
+closes: its body was never read.  Each error reply counts once in its
+class's ``serve_errors_<status>`` counter (``/metrics``).
 """
 
 from __future__ import annotations
@@ -61,7 +65,8 @@ _LOG = logging.getLogger(__name__)
 #: threads raise them concurrently, and a counter's add is a read then
 #: a write, so the lock keeps two errors of one class from counting once.
 _SERVE_ERRORS = {status: _obs_metrics.counter(f"serve_errors_{status}")
-                 for status in (400, 404, 408, 413, 500)}
+                 for status in (400, 404, 408, 413, 414, 431, 500, 501,
+                                505)}
 _SERVE_ERRORS_LOCK = threading.Lock()
 
 #: Largest request body read (256 MiB, far above any publish body the
@@ -159,6 +164,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- plumbing ------------------------------------------------------- #
 
+    def handle_one_request(self) -> None:
+        # A route sets this; until then an error reply is one the stdlib
+        # sends itself (see send_error).
+        self._routed = False
+        super().handle_one_request()
+
     def _send_json(self, status: int, doc: dict[str, Any]) -> None:
         body = json.dumps(doc).encode("utf-8")
         self.send_response(status)
@@ -167,13 +178,29 @@ class _Handler(BaseHTTPRequestHandler):
         if self.close_connection:
             self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":
+            self.wfile.write(body)
 
-    def _send_error_json(self, status: int, message: str) -> None:
-        """One error envelope, counted in its class's counter first."""
+    def send_error(self, code: int, message: str | None = None,
+                   explain: str | None = None) -> None:
+        """The one error reply: count it in its class's counter, then
+        send the ``{"error": message}`` envelope.
+
+        The stdlib calls this itself for a request it refuses before
+        any route runs, with the body still unread on the stream, so
+        that reply closes the connection; a route's error keeps it
+        unless the route already gave the stream up.
+        """
         with _SERVE_ERRORS_LOCK:
-            _SERVE_ERRORS[status].add()
-        self._send_json(status, {"error": message})
+            _SERVE_ERRORS[code].add()
+        if not self._routed:
+            self.close_connection = True
+            # A request line refused before its version parsed leaves
+            # the stdlib's HTTP/0.9 default, which sends no status line.
+            self.request_version = self.protocol_version
+        if message is None:
+            message = self.responses[code][0]
+        self._send_json(code, {"error": message})
 
     def _read_json(self) -> dict[str, Any]:
         header = self.headers.get("Content-Length") or "0"
@@ -214,6 +241,7 @@ class _Handler(BaseHTTPRequestHandler):
     # -- routes --------------------------------------------------------- #
 
     def do_GET(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
+        self._routed = True
         daemon: "ServeDaemon" = self.server.daemon  # type: ignore[attr-defined]
         if self.path == "/health":
             self._send_json(200, {
@@ -224,9 +252,10 @@ class _Handler(BaseHTTPRequestHandler):
                 "counters": _obs_metrics.REGISTRY.snapshot(),
                 "gauges": _obs_metrics.REGISTRY.gauges_snapshot()})
         else:
-            self._send_error_json(404, f"unknown path {self.path}")
+            self.send_error(404, f"unknown path {self.path}")
 
     def do_POST(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
+        self._routed = True
         daemon: "ServeDaemon" = self.server.daemon  # type: ignore[attr-defined]
         try:
             if self.path == "/publish":
@@ -255,20 +284,20 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(200, {"status": "stopping"})
                 daemon.request_shutdown()
             else:
-                self._send_error_json(404, f"unknown path {self.path}")
+                self.send_error(404, f"unknown path {self.path}")
         except _BodyTooLarge as exc:
-            self._send_error_json(413, str(exc))
+            self.send_error(413, str(exc))
         except _BodyTimeout as exc:
-            self._send_error_json(408, str(exc))
+            self.send_error(408, str(exc))
         except (ValueError, json.JSONDecodeError) as exc:
-            self._send_error_json(400, str(exc))
+            self.send_error(400, str(exc))
         except Exception as exc:
             # The request boundary: whatever else a route raised (a
             # batch TimeoutError or failure, a bug) still ends in one
             # well-formed reply instead of a dead handler thread and a
             # reset keep-alive connection.
             _LOG.exception("serve: POST %s failed", self.path)
-            self._send_error_json(500, f"{type(exc).__name__}: {exc}")
+            self.send_error(500, f"{type(exc).__name__}: {exc}")
 
 
 class ServeDaemon:

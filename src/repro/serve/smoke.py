@@ -37,6 +37,7 @@ from repro.serve.protocol import (AnytimeSolveRequest, BrknnRequest,
                                   SolveResponse, encode_response,
                                   request_key)
 from repro.serve.workload import publish_doc, scripted_batches, tiny_problem
+from repro.store import STORE_NAMES
 
 
 def _boot_daemon(out_dir: str, store: str, cache_bytes: int | None = None
@@ -126,8 +127,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="serve-smoke-artifacts",
                         help="artifact directory (trace + metrics)")
-    parser.add_argument("--store", default="shm",
-                        choices=("ram", "shm", "memmap"))
+    parser.add_argument("--store", default="memmap",
+                        choices=STORE_NAMES)
     args = parser.parse_args(argv)
     os.makedirs(args.out, exist_ok=True)
 

@@ -1,19 +1,22 @@
-"""Pluggable NLC storage backends: ``ram`` / ``shm`` / ``memmap``.
+"""Pluggable NLC storage backends: ``ram`` / ``memmap``.
 
-The façade over :mod:`repro.store.base`'s protocol.  Typical flows:
+The façade over :mod:`repro.store.base`'s protocol.  ``ram`` serves
+in-process work; ``memmap`` serves anything that crosses a process
+boundary or outgrows RAM (``REPRO_STORE_DIR`` may point it at a tmpfs).
+Typical flows:
 
 Publish a built set and ship the handle::
 
     from repro import store
 
-    owner = store.publish(nlcs, "shm")       # or "ram" / "memmap"
+    owner = store.publish(nlcs, "memmap")    # or "ram"
     handle = owner.handle                     # tiny, picklable
     ...
     views = store.attach(handle)              # read-only CircleSet
     tile = store.attach_slice(handle, lo, hi)  # one row slice only
     ...
     store.detach()                            # drop cached attachments
-    owner.close()                             # unlink segment/file
+    owner.close()                             # unlink the file
 
 Stream a build without materializing the arrays::
 
@@ -64,7 +67,7 @@ __all__ = [
 ]
 
 #: Every registered backend name, in documentation order.
-STORE_NAMES: tuple[str, ...] = ("ram", "shm", "memmap")
+STORE_NAMES: tuple[str, ...] = ("ram", "memmap")
 
 _BACKENDS: dict[str, NLCStoreBackend] = {}
 
@@ -77,10 +80,6 @@ def get_backend(name: str) -> NLCStoreBackend:
             from repro.store.ram import RamBackend
 
             backend = RamBackend()
-        elif name == "shm":
-            from repro.store.shm import ShmBackend
-
-            backend = ShmBackend()
         elif name == "memmap":
             from repro.store.memmap import MemmapBackend
 
@@ -96,11 +95,10 @@ def get_backend(name: str) -> NLCStoreBackend:
     return backend
 
 
-def resolve_store_name(name: str | None = None, *,
-                       default: str = "ram") -> str:
+def resolve_store_name(name: str | None = None) -> str:
     """Pick a backend name: explicit choice > ``REPRO_STORE`` env >
-    ``default`` — and validate it."""
-    resolved = name or os.environ.get("REPRO_STORE") or default
+    ``ram`` — and validate it."""
+    resolved = name or os.environ.get("REPRO_STORE") or "ram"
     if resolved not in STORE_NAMES:
         raise ValueError(
             f"unknown store backend {resolved!r} "

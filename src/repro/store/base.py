@@ -2,7 +2,7 @@
 
 One published :class:`~repro.index.circleset.CircleSet` lives in exactly
 one *store*: six parallel 8-byte-element arrays laid back to back inside
-a single buffer (segment, file, or the arrays themselves), field ``i``
+a single buffer (a file, or the arrays themselves), field ``i``
 starting at byte ``i * 8 * capacity``.  ``capacity`` is the row count
 the buffer was sized for; ``length <= capacity`` is how many rows are
 real — the gap is what lets a streaming build preallocate ``n * k``
@@ -15,19 +15,16 @@ Phase II jobs — attach read-only views of the whole store or of a row
 slice (``attach_slice``), never the payload itself.  The owner alone
 unlinks the backing resource via :meth:`NLCStore.close`.
 
-Three backends implement the protocol (see :mod:`repro.store`):
+Two backends implement the protocol (see :mod:`repro.store`):
 
 ``ram``
-    today's in-process arrays; the handle carries them by value, so
-    crossing a process boundary costs O(n) pickling (documented — it is
-    the compatibility backend, not the transport of choice).
-``shm``
-    one ``multiprocessing.shared_memory`` segment (the zero-copy pool
-    transport).
+    in-process arrays for in-process work; the handle carries them by
+    value, so crossing a process boundary would cost O(n) pickling.
 ``memmap``
     a single file with a JSON header, attached as ``mmap`` views — the
-    out-of-core tier: only the pages a consumer touches enter RSS, and
-    they leave it again when the attachment is dropped.
+    store for anything that crosses a process boundary (pool tile jobs
+    ship its handle) or outgrows RAM: only the pages a consumer touches
+    enter RSS, and they leave it again when the attachment is dropped.
 """
 
 from __future__ import annotations
@@ -51,9 +48,9 @@ BYTES_PER_ELEMENT = 8
 BYTES_PER_ROW = N_FIELDS * BYTES_PER_ELEMENT
 
 #: Picklable store handle: ``(backend, key, length, capacity, payload)``.
-#: ``key`` is a unique hashable string (segment name, file path, or a
-#: token) — the unit of attachment caching and of ``detach(keep=...)``.
-#: ``payload`` is backend-private (``None`` for shm/memmap; the arrays
+#: ``key`` is a unique hashable string (file path, or a token) — the
+#: unit of attachment caching and of ``detach(keep=...)``.
+#: ``payload`` is backend-private (``None`` for memmap; the arrays
 #: themselves for ram).
 StoreHandle = tuple[str, str, int, int, Any]
 
@@ -134,8 +131,8 @@ class NLCStore:
 
     The picklable :attr:`handle` is all a consumer needs; the store
     object itself never crosses a process boundary.  ``close()`` is
-    idempotent and releases the backing resource (unlink the segment or
-    file; drop the arrays) — safe to call with consumers still attached
+    idempotent and releases the backing resource (unlink the file; drop
+    the arrays) — safe to call with consumers still attached
     on POSIX, where pages live until the last mapping unmaps.
     """
 

@@ -1,4 +1,5 @@
-"""Memory-mapped file store backend — the out-of-core tier.
+"""Memory-mapped file store backend — the out-of-core tier and the
+tile pool's cross-process store.
 
 The SoA goes down as one file: a fixed-size JSON header (magic,
 version, ``length``, ``capacity``, field dtypes) followed by the six
@@ -9,12 +10,18 @@ count toward the producer's RSS, written-through page cache does not,
 and keeping the build's peak RSS at O(chunk) is the entire point.
 
 Consumers attach with ``mmap.ACCESS_READ`` and numpy ``frombuffer``
-views (same layout helper as the shm backend).  Mapped file pages enter
+views (:func:`~repro.store.base.views_over`).  Mapped file pages enter
 RSS only when touched and leave it when the mapping is dropped, so a
 tile-at-a-time solve that attaches one row slice per tile — the cached
 full attachment is for long-lived workers; slice attachments are
 deliberately *uncached* and die with the returned ``CircleSet`` — holds
 a resident footprint of O(slice) against a store of O(n).
+
+Pool workers receive only the handle (a path and a shape) and map just
+their tile's row slice.  A worker that dies mid-attach leaks nothing:
+its mapping vanishes with the process, and the file is the owner's to
+unlink — ``tests/store/test_backends.py`` kills a worker between map
+and use to prove it.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
-"""In-process array store backend (today's default, made explicit).
+"""In-process array store backend (the default for in-process work).
 
 The handle's payload carries the six SoA arrays *by value*: attaching
 in the publishing process is zero-copy (the views are the arrays), but
-shipping the handle across a process boundary pickles the full payload
-— O(n) per job, exactly the pre-PR-5 transport cost.  ``ram`` is the
-compatibility backend for single-process runs and tests; pool
-transports default to ``shm``.
+shipping the handle across a process boundary would pickle the full
+payload — O(n) per job.  So ``ram`` serves single-process runs; the
+tile pool always ships ``memmap`` handles.
 
 Nothing is cached and nothing needs unlinking: ``detach`` is a no-op
 and ``close`` just drops the owner's reference.

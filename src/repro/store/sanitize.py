@@ -9,19 +9,19 @@ entered and exited.  :func:`check` — run by the test suite's
 ``pytest_sessionfinish`` hook and by an ``atexit`` backstop — then
 asserts the balanced-lifecycle invariants:
 
-* every non-ram owner was closed (an shm segment or memmap file whose
-  owner was garbage-collected without ``close()`` survives only by the
+* every non-ram owner was closed (a memmap file whose owner was
+  garbage-collected without ``close()`` survives only by the
   ``weakref.finalize`` backstop — luck, not lifecycle);
 * every writer was finalized or aborted;
-* no ``repro-nlc-{pid}-*`` segment/file created by this process is
-  still on disk;
+* no ``repro-nlc-{pid}-*`` file created by this process is still on
+  disk;
 * every pool task that started also finished.
 
 Violations are reported through :mod:`repro.obs` (the
 ``store_sanitize_violations`` gauge), warned with the *creating call
 site* of each leaked resource — the first stack frame outside
 ``repro/store/`` — and raised as :class:`StoreLeakError` so CI names
-the leaking line instead of a generic "segment leaked" message.
+the leaking line instead of a generic "file leaked" message.
 
 The mode costs one ``None``-check per hook when disabled; the
 environment read here is the sanitizer's own switch and is an audited
@@ -192,12 +192,8 @@ class task:
 # The check.
 
 def _orphan_files() -> Iterator[str]:
-    """``repro-nlc-{pid}-*`` segments/files this process left on disk."""
+    """``repro-nlc-{pid}-*`` store files this process left on disk."""
     pid = os.getpid()
-    shm_root = Path("/dev/shm")
-    if shm_root.is_dir():
-        yield from (str(p) for p in
-                    sorted(shm_root.glob(f"repro-nlc-{pid}-*")))
     try:
         from repro.store.memmap import store_dir
 
@@ -226,15 +222,15 @@ def violations(*, scan_disk: bool = True) -> list[str]:
             out.append(f"store writer never finalized/aborted; opened "
                        f"at {site}")
     if scan_disk and not unfinalized:
-        # An open writer legitimately holds its segment/file; skip the
-        # disk scan rather than double-report it as an orphan.
-        known_open = {key for key, (b, _, closed) in _LEDGER.owners.items()
+        # An open writer legitimately holds its file; skip the disk
+        # scan rather than double-report it as an orphan.
+        known_open = {Path(key).name
+                      for key, (b, _, closed) in _LEDGER.owners.items()
                       if not closed and b != "ram"}
         for path in _orphan_files():
-            # shm keys are segment names; memmap keys are full paths.
-            if path in known_open or Path(path).name in known_open:
+            if Path(path).name in known_open:
                 continue  # already reported with its call site above
-            out.append(f"orphaned store segment/file on disk: {path}")
+            out.append(f"orphaned store file on disk: {path}")
     if _LEDGER.tasks_started != _LEDGER.tasks_finished:
         out.append(f"pool task imbalance: {_LEDGER.tasks_started} "
                    f"started, {_LEDGER.tasks_finished} finished")
@@ -246,9 +242,8 @@ def check(*, detach: bool = True) -> None:
 
     ``detach=True`` first drops this process's cached attachments (via
     the facade, so the drop is itself recorded): cached views must not
-    be what keeps a closed segment's pages alive when we look for
-    leaks, and dropping them lets shm's deferred-unlink graveyard
-    drain.
+    be what keeps a closed store's pages alive when we look for
+    leaks.
     """
     if _LEDGER is None:
         return

@@ -11,7 +11,7 @@ class TestCurrentRepoIsInSync:
         assert list(check_store_drift(REPO_ROOT)) == []
 
     def test_all_backends_registered(self):
-        assert set(STORE_NAMES) >= {"ram", "shm", "memmap"}
+        assert set(STORE_NAMES) == {"ram", "memmap"}
 
 
 class TestSyntheticDrift:

@@ -29,7 +29,7 @@ from repro.index.circleset import CircleSet
 from repro.obs.metrics import REGISTRY
 
 SHARDS = (1, 2, 5, 9, 64)
-BACKENDS = ("ram", "shm", "memmap")
+BACKENDS = ("ram", "memmap")
 
 
 def _circles(cx, cy, r, seed=0):

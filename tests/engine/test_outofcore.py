@@ -19,7 +19,7 @@ from repro.engine.outofcore import plan_streamed, solve_streamed, tile_grid
 from repro.engine.sharded import ShardedMaxFirst
 from repro.index.circleset import CircleSet
 
-BACKENDS = ("ram", "shm", "memmap")
+BACKENDS = ("ram", "memmap")
 
 
 def _nlcs(k, seed, n_customers=300, n_sites=10):

@@ -3,11 +3,10 @@
 The acceptance bar for the sharded engine: the *same* scores, regions,
 and merged work counters regardless of how the tiles execute —
 unsharded, serial in-process, or on the persistent worker pool — plus
-exception-safe shared-memory cleanup.
+exception-safe cleanup of the pool's store file.
 """
 
-import glob
-import os
+import pickle
 
 import pytest
 
@@ -16,7 +15,10 @@ from repro.core.nlc import build_nlcs
 from repro.core.problem import MaxBRkNNProblem
 from repro.datasets.synthetic import synthetic_instance
 from repro.engine import ShardedMaxFirst, run_pipeline
+from repro.engine.pool import PersistentPool
 from repro.obs import metrics as obs_metrics
+
+from tests.store.test_backends import _store_files
 
 
 def _problem(k, seed=0, n_customers=80, n_sites=8):
@@ -32,16 +34,6 @@ def _region_keys(result):
 def _work_only(counters):
     return {key: value for key, value in counters.items()
             if key not in obs_metrics.TRANSPORT_COUNTER_KEYS}
-
-
-def _leaked_segments():
-    return glob.glob("/dev/shm/repro-nlc-*")
-
-
-#: The pool transport backend this run resolves to (``REPRO_STORE``
-#: overrides the ``shm`` default); the shm byte-accounting assertions
-#: only describe the shm transport.
-_ACTIVE_STORE = os.environ.get("REPRO_STORE") or "shm"
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -70,7 +62,7 @@ class TestCounterIdentity:
     def test_tilewise_vs_pool_merged_counters(self):
         """With one worker the pool replays the tile-wise schedule, so
         every merged work counter matches exactly; only the transport
-        counters (shm bytes, queued tasks, steals) may differ.  (The
+        counters (queued tasks, steals, slice views) may differ.  (The
         unified-frontier serial mode interleaves tiles on one heap, so
         its work counters legitimately differ — it does *less* work —
         while its results stay bit-identical.)"""
@@ -80,41 +72,39 @@ class TestCounterIdentity:
         _, pooled = run_pipeline("maxfirst-sharded", problem,
                                  shards=4, mode="pool", max_workers=1)
         assert _work_only(tilewise.counters) == _work_only(pooled.counters)
-        if _ACTIVE_STORE == "shm":
-            assert pooled.counters["shm_bytes_mapped"] > 0
         # Every worker tile attaches its row window as a slice view.  A
         # serial run plans identically and its merge attaches no more
         # windows than the pool's, so the workers' views are what the
-        # pool adds on top: at least one per distinct window (an shm
-        # worker serves a repeated window from its own cache).
+        # pool adds on top: at least one per distinct window.
         _, serial = run_pipeline("maxfirst-sharded", problem,
                                  shards=4, mode="serial")
         windows = set(ShardedMaxFirst(shards=4).plan(
             build_nlcs(problem)).windows)
         assert pooled.counters["store_slice_views"] \
             >= serial.counters["store_slice_views"] + len(windows)
-        if (os.environ.get("REPRO_STORE") or "ram") != "shm":
-            # With REPRO_STORE=shm the pipeline itself publishes and
-            # attaches the store, so even in-process modes map bytes.
-            assert tilewise.counters["shm_bytes_mapped"] == 0
 
-    def test_zero_nlc_bytes_pickled(self):
-        """Pool transport ships only the O(1) job tuple per tile: the
-        mapped shared bytes account for the entire NLC payload, one
-        mapping per mapping process per solve (just the worker by
-        default; parent + worker when ``REPRO_STORE=shm`` makes the
-        pipeline publish and attach the store itself)."""
-        if _ACTIVE_STORE != "shm":
-            pytest.skip("shm byte accounting only applies to the shm "
-                        "transport")
+    def test_zero_nlc_bytes_pickled(self, monkeypatch):
+        """Pool transport ships only the O(1) job tuple per tile: each
+        pickled job is its halo bitmap plus a small fixed part, never
+        the NLC payload, and its handle names a ``memmap`` store with
+        no payload — under every ``REPRO_STORE``, ``ram`` included."""
+        jobs = []
+        submit = PersistentPool.submit
+
+        def recording_submit(pool, job):
+            jobs.append((job, len(pickle.dumps(job))))
+            return submit(pool, job)
+
+        monkeypatch.setattr(PersistentPool, "submit", recording_submit)
         problem = _problem(k=1, seed=4)
         _, report = run_pipeline("maxfirst-sharded", problem,
                                  shards=4, mode="pool", max_workers=1)
         nlc_bytes = 6 * 8 * report.meta["n_nlcs"]
-        mappers = 2 if (os.environ.get("REPRO_STORE") or "ram") == "shm" \
-            else 1
-        assert report.counters["shm_bytes_mapped"] == mappers * nlc_bytes
-        assert report.counters["pool_tasks"] >= 1
+        assert jobs and len(jobs) == report.counters["pool_tasks"]
+        for job, size in jobs:
+            handle, halo = job[1], job[4]
+            assert handle[0] == "memmap" and handle[4] is None
+            assert size <= len(halo) + 1024 < nlc_bytes
 
 
 class TestPoolReuse:
@@ -134,7 +124,7 @@ class TestPoolReuse:
         executor is dropped, so the next solve runs on a fresh pool."""
         problem = _problem(k=2, seed=21)
         single = MaxFirst().solve(problem)
-        before = set(_leaked_segments())
+        before = _store_files()
         with ShardedMaxFirst(shards=4, mode="pool",
                              max_workers=1) as solver:
             solver.solve(problem)
@@ -146,21 +136,21 @@ class TestPoolReuse:
                 solver.solve(problem)
             recovered = solver.solve(problem)
         assert recovered.score == single.score
-        assert set(_leaked_segments()) == before
+        assert _store_files() == before
 
 
 class TestExceptionSafety:
-    def test_worker_failure_leaks_no_shm_and_pool_recovers(self):
+    def test_worker_failure_leaks_no_store_file_and_pool_recovers(self):
         problem = _problem(k=1, seed=9)
-        before = set(_leaked_segments())
+        before = _store_files()
         with ShardedMaxFirst(shards=4, mode="pool",
                              max_workers=1) as solver:
             solver._fail_tiles = frozenset({1})
             with pytest.raises(RuntimeError, match="injected failure"):
                 solver.solve(problem)
-            assert set(_leaked_segments()) == before
+            assert _store_files() == before
             # The pool stays usable after a tile failure.
             solver._fail_tiles = frozenset()
             result = solver.solve(problem)
         assert result.score == MaxFirst().solve(problem).score
-        assert set(_leaked_segments()) == before
+        assert _store_files() == before

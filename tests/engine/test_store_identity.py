@@ -2,7 +2,7 @@
 
 The CI ``REPRO_STORE=memmap`` matrix arm runs this file by name: the
 assertions must hold whatever backend the environment resolves, and the
-explicit ``store=`` axis below proves ram / shm / memmap interchange
+explicit ``store=`` axis below proves ram / memmap interchange
 bit-for-bit — through the pipeline, through the streaming NLC build,
 and on the degenerate instances (zero customers, all-zero weights, a
 single chunk smaller than ``chunk_size``).
@@ -19,7 +19,7 @@ from repro.datasets.synthetic import synthetic_instance
 from repro.engine import run_pipeline
 from repro.store.base import soa_arrays
 
-BACKENDS = ("ram", "shm", "memmap")
+BACKENDS = ("ram", "memmap")
 
 
 def _problem(k=2, seed=0, n_customers=80, n_sites=8):

@@ -4,8 +4,6 @@ merged work counters (acceptance criterion; transport counters are
 mode-dependent by design and compared separately), and counters must
 flow to the parent registry exactly once in every mode."""
 
-import os
-
 import pytest
 
 from repro.core.nlc import build_nlcs
@@ -13,11 +11,6 @@ from repro.core.problem import MaxBRkNNProblem
 from repro.datasets.synthetic import synthetic_instance
 from repro.engine import ShardedMaxFirst, run_pipeline
 from repro.obs import metrics as obs_metrics
-
-#: ``REPRO_STORE`` changes which transport the pipeline publishes the
-#: NLC store through; the pool transport defaults to ``shm``.
-_ENV_STORE = os.environ.get("REPRO_STORE")
-_POOL_STORE = _ENV_STORE or "shm"
 
 
 @pytest.fixture(scope="module")
@@ -59,30 +52,21 @@ class TestTilewiseVsPool:
             _, report = run_pipeline("maxfirst-sharded", problem,
                                      shards=shards, mode=mode)
             views[mode] = report.counters["store_slice_views"]
-            # In-process execution never touches the pool transport.
-            # (With REPRO_STORE=shm the pipeline itself publishes and
-            # attaches the store, so even in-process modes map bytes;
-            # in-process tiles attach row windows as slice views.)
+            # In-process execution never touches the pool transport
+            # (in-process tiles do attach row windows as slice views).
             for key in obs_metrics.TRANSPORT_COUNTER_KEYS:
-                if key == "shm_bytes_mapped" and _ENV_STORE == "shm":
-                    continue
                 if key == "store_slice_views":
                     continue
                 assert report.counters[key] == 0, key
         pool = _pool_counters(problem, shards)
         # Pool execution publishes the NLC store once and queues one
         # task per tile; nothing is stolen with a single worker.
-        if _POOL_STORE == "shm":
-            assert pool["shm_bytes_mapped"] > 0
-        else:
-            assert pool["shm_bytes_mapped"] == 0
         assert pool["pool_tasks"] == report.counters["shard_tasks"]
         assert pool["tiles_stolen"] == 0
         # Every worker tile attaches its row window as a slice view.
         # The serial run plans identically and its merge attaches no
         # more windows than the pool's, so the workers' views are what
-        # the pool adds on top: at least one per distinct window (an
-        # shm worker serves a repeated window from its own cache).
+        # the pool adds on top: at least one per distinct window.
         windows = set(ShardedMaxFirst(shards=shards)
                       .plan(build_nlcs(problem)).windows)
         assert pool["store_slice_views"] >= views["serial"] + len(windows)

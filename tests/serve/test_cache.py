@@ -20,7 +20,7 @@ from repro.serve.protocol import (AnytimeSolveRequest, BrknnRequest,
                                   encode_response)
 from repro.serve.service import QueryService
 
-BACKENDS = ("ram", "shm", "memmap")
+BACKENDS = ("ram", "memmap")
 
 
 def _canonical(response) -> str:

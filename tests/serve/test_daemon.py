@@ -46,7 +46,7 @@ def _publish_body(serve_problem):
             "k": serve_problem.k}
 
 
-_ERROR_CLASSES = (400, 404, 408, 413, 500)
+_ERROR_CLASSES = (400, 404, 408, 413, 414, 431, 500, 501, 505)
 
 
 def _error_counts(daemon):
@@ -135,6 +135,15 @@ class TestEnvelopeErrors:
         with ServeClient(host, port) as client:
             with pytest.raises(ServeError, match="missing field"):
                 client.publish({"customers": [[0.0, 0.0]]})
+
+    def test_publish_naming_shm_is_400(self, daemon, serve_problem):
+        errors = _error_counts(daemon)
+        with ServeClient(*daemon.address) as client:
+            with pytest.raises(ServeError,
+                               match="unknown store backend 'shm'"):
+                client.publish({**_publish_body(serve_problem),
+                                "store": "shm"})
+        _assert_one_more(daemon, errors, 400)
 
     def test_malformed_query_is_400(self, daemon):
         host, port = daemon.address
@@ -230,6 +239,51 @@ class TestEnvelopeErrors:
             assert conn.sock is sock  # no reconnect needed
         finally:
             conn.close()
+
+
+def _raw_exchange(daemon, payload: bytes):
+    """Send raw bytes; read until the daemon closes: ``(head, body)``."""
+    with socket.create_connection(daemon.address, timeout=10.0) as sock:
+        sock.sendall(payload)
+        received = b""
+        while chunk := sock.recv(65536):  # until the daemon closes
+            received += chunk
+    head, _, body = received.partition(b"\r\n\r\n")
+    return head, body
+
+
+class TestStdlibRefusals:
+    """Requests ``BaseHTTPRequestHandler`` refuses before any route runs
+    get the JSON envelope, count in their class, and close."""
+
+    @pytest.mark.parametrize("payload, status", [
+        (b"PUT /query HTTP/1.1\r\nHost: test\r\n"
+         b"Content-Type: application/json\r\nContent-Length: 2\r\n"
+         b"\r\n{}", 501),
+        (b"GARBAGE\r\n\r\n", 400),
+        (b"GET /" + b"x" * 70_000 + b" HTTP/1.1\r\n\r\n", 414),
+        (b"GET /health HTTP/1.1\r\n" + b"X-Pad: 1\r\n" * 101
+         + b"\r\n", 431),
+        (b"GET /health HTTP/2.0\r\n\r\n", 505),
+    ], ids=["unsupported-method", "garbage-request-line",
+            "request-line-over-64k", "too-many-headers", "http-2"])
+    def test_refusal_is_one_json_envelope_then_close(self, daemon,
+                                                     payload, status):
+        errors = _error_counts(daemon)
+        head, body = _raw_exchange(daemon, payload)
+        assert head.startswith(b"HTTP/1.1 %d " % status), head
+        assert b"Content-Type: application/json" in head
+        assert b"Connection: close" in head
+        assert set(json.loads(body)) == {"error"}
+        _assert_one_more(daemon, errors, status)
+
+    def test_head_refusal_sends_no_body(self, daemon):
+        errors = _error_counts(daemon)
+        head, body = _raw_exchange(
+            daemon, b"HEAD /health HTTP/1.1\r\nHost: test\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 501 ")
+        assert body == b""
+        _assert_one_more(daemon, errors, 501)
 
 
 class TestFailClosed:

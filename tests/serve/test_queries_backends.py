@@ -16,7 +16,7 @@ from repro.serve.protocol import (AnytimeSolveRequest, BrknnRequest,
                                   SiteInfluenceRequest, SolveRequest)
 from repro.serve.service import QueryService
 
-BACKENDS = ("ram", "shm", "memmap")
+BACKENDS = ("ram", "memmap")
 
 
 def _all_kind_batch(instance_id):

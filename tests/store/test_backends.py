@@ -1,14 +1,14 @@
-"""Protocol conformance of the three NLC storage backends.
+"""Protocol conformance of the two NLC storage backends.
 
 Every backend must round-trip a published ``CircleSet`` bit-for-bit,
 serve row-slice views, stream a writer build, and release its backing
 resource on ``close`` — including when a consumer process dies with the
-store mapped (the shm regression at the bottom).
+store mapped (the worker-death regression at the bottom).
 """
 
-import glob
 import os
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +21,9 @@ from repro.datasets.synthetic import synthetic_instance
 from repro.index.circleset import CircleSet
 from repro.obs import metrics as obs_metrics
 from repro.store.base import BYTES_PER_ROW, soa_arrays
+from repro.store.memmap import store_dir
 
-BACKENDS = ("ram", "shm", "memmap")
+BACKENDS = ("ram", "memmap")
 
 
 def _nlcs(n=60, sites=6, k=2, seed=3):
@@ -44,8 +45,11 @@ def _assert_rows(attached, nlcs, lo=0, hi=None):
         np.testing.assert_array_equal(got, want[lo:hi])
 
 
-def _leaked_segments():
-    return glob.glob("/dev/shm/repro-nlc-*")
+def _store_files():
+    """The store files this process has on disk: their names carry the
+    publishing process's pid, so a pool's workers and other test runs
+    never show up here."""
+    return set(Path(store_dir()).glob(f"repro-nlc-{os.getpid()}-*.nlc"))
 
 
 @pytest.fixture(autouse=True)
@@ -133,18 +137,18 @@ class TestWriter:
             writer.abort()
 
     def test_abort_releases_resource(self, backend):
-        before = set(_leaked_segments())
+        before = _store_files()
         writer = nlc_store.writer(10, backend)
         writer.append([arr[:4] for arr in soa_arrays(_nlcs())])
         writer.abort()
         writer.abort()  # idempotent
-        assert set(_leaked_segments()) == before
+        assert _store_files() == before
         if backend == "memmap":
             assert not os.path.exists(writer.path)
 
 
 class TestReadOnlyViews:
-    @pytest.mark.parametrize("backend", ("shm", "memmap"))
+    @pytest.mark.parametrize("backend", ("memmap",))
     def test_attached_views_reject_writes(self, backend):
         # A stray write in a worker must fail loudly, not corrupt every
         # sibling's data.  (ram views are the publisher's own arrays.)
@@ -157,7 +161,7 @@ class TestReadOnlyViews:
 
 
 class TestHandles:
-    @pytest.mark.parametrize("backend", ("shm", "memmap"))
+    @pytest.mark.parametrize("backend", ("memmap",))
     def test_handle_is_tiny_and_picklable(self, backend):
         with nlc_store.publish(_nlcs(), backend) as owner:
             payload = pickle.dumps(owner.handle)
@@ -180,55 +184,48 @@ class TestHandles:
         with pytest.raises(ValueError, match="unknown store backend"):
             nlc_store.resolve_store_name("tape")
 
+    def test_shm_is_refused(self, monkeypatch):
+        """``shm`` is not a backend: naming it, explicitly or through
+        ``REPRO_STORE``, raises the unknown-backend error."""
+        with pytest.raises(ValueError, match="unknown store backend"):
+            nlc_store.publish(_nlcs(), "shm")
+        monkeypatch.setenv("REPRO_STORE", "shm")
+        with pytest.raises(ValueError, match="unknown store backend"):
+            nlc_store.resolve_store_name()
+
     def test_resolve_precedence(self, monkeypatch):
         monkeypatch.delenv("REPRO_STORE", raising=False)
         assert nlc_store.resolve_store_name() == "ram"
-        assert nlc_store.resolve_store_name(default="shm") == "shm"
         monkeypatch.setenv("REPRO_STORE", "memmap")
         assert nlc_store.resolve_store_name() == "memmap"
-        assert nlc_store.resolve_store_name("shm") == "shm"  # explicit wins
+        assert nlc_store.resolve_store_name("ram") == "ram"  # explicit wins
 
 
 class TestLifecycle:
+    def test_attachment_is_cached(self):
+        with nlc_store.publish(_nlcs(), "memmap") as owner:
+            first = nlc_store.attach(owner.handle)
+            assert nlc_store.attach(owner.handle) is first
+
     def test_detach_keep_preserves_named_store(self):
         nlcs = _nlcs()
-        with nlc_store.publish(nlcs, "shm") as first, \
-                nlc_store.publish(nlcs, "shm") as second:
+        with nlc_store.publish(nlcs, "memmap") as first, \
+                nlc_store.publish(nlcs, "memmap") as second:
             kept = nlc_store.attach(first.handle)
-            nlc_store.attach(second.handle)
+            dropped = nlc_store.attach(second.handle)
             nlc_store.detach(keep=(first.key,))
             # The kept attachment is still the cached object; the other
-            # segment was unmapped and re-attaching maps it afresh.
+            # file's was dropped and re-attaching maps it afresh.
             assert nlc_store.attach(first.handle) is kept
-            assert len(nlc_store.attach(second.handle)) == len(nlcs)
-
-    def test_shm_close_unlinks_segment(self):
-        before = set(_leaked_segments())
-        owner = nlc_store.publish(_nlcs(), "shm")
-        assert f"/dev/shm/{owner.key}" in _leaked_segments()
-        owner.close()
-        assert set(_leaked_segments()) == before
+            again = nlc_store.attach(second.handle)
+            assert again is not dropped
+            assert len(again) == len(nlcs)
 
     def test_memmap_close_unlinks_file(self):
         owner = nlc_store.publish(_nlcs(), "memmap")
         assert os.path.exists(owner.path)
         owner.close()
         assert not os.path.exists(owner.path)
-
-    def test_shm_graveyard_parks_exported_views(self):
-        """detach() with live numpy views must neither raise nor leak:
-        the segment parks in the graveyard until the views die."""
-        backend = nlc_store.get_backend("shm")
-        nlc_store.detach()  # drain any earlier tests' parked segments
-        with nlc_store.publish(_nlcs(), "shm") as owner:
-            window = nlc_store.attach_slice(owner.handle, 0, 5)
-            held = window.cx  # pins the mapping through the detach
-            nlc_store.detach()
-            assert len(backend._pending) == 1
-            assert held[0] == held[0]  # the parked view still reads
-            del window, held
-            nlc_store.detach()
-            assert backend._pending == []
 
     def test_memmap_slice_attachments_are_uncached(self):
         backend = nlc_store.get_backend("memmap")
@@ -265,14 +262,14 @@ def _attach_and_die(job):
 
 
 class TestWorkerDeath:
-    def test_worker_death_mid_attach_leaks_no_shm(self):
+    def test_worker_death_mid_attach_leaks_no_store_file(self):
         """A worker killed between map and use must leak nothing: its
-        mapping vanishes with the process and the name is the owner's
+        mapping vanishes with the process and the file is the owner's
         to unlink."""
         from repro.engine.pool import PersistentPool
 
-        before = set(_leaked_segments())
-        owner = nlc_store.publish(_nlcs(), "shm")
+        before = _store_files()
+        owner = nlc_store.publish(_nlcs(), "memmap")
         pool = PersistentPool(max_workers=1)
         try:
             future = pool.executor().submit(_attach_and_die,
@@ -282,4 +279,4 @@ class TestWorkerDeath:
         finally:
             pool.close()
             owner.close()
-        assert set(_leaked_segments()) == before
+        assert _store_files() == before

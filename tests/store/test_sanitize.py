@@ -7,6 +7,7 @@ a fixture) so they work whether or not the surrounding run exported
 forever.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -38,7 +39,7 @@ def _fresh_ledger():
 
 
 class TestBalancedLifecyclesPass:
-    @pytest.mark.parametrize("backend", ("ram", "shm", "memmap"))
+    @pytest.mark.parametrize("backend", ("ram", "memmap"))
     def test_publish_close_is_clean(self, backend):
         owner = nlc_store.publish(_nlcs(), backend)
         views = nlc_store.attach(owner.handle)
@@ -50,14 +51,14 @@ class TestBalancedLifecyclesPass:
 
     def test_writer_finalize_is_clean(self):
         nlcs = _nlcs()
-        writer = nlc_store.writer(len(nlcs), "shm")
+        writer = nlc_store.writer(len(nlcs), "memmap")
         writer.append(soa_arrays(nlcs))
         sealed = writer.finalize()
         sealed.close()
         sanitize.check()
 
     def test_writer_abort_is_clean(self):
-        writer = nlc_store.writer(16, "shm")
+        writer = nlc_store.writer(16, "memmap")
         writer.abort()
         sanitize.check()
 
@@ -68,8 +69,8 @@ class TestBalancedLifecyclesPass:
 
 
 class TestDeliberateLeaksFail:
-    def test_unclosed_shm_owner_raises_naming_this_file(self):
-        owner = nlc_store.publish(_nlcs(), "shm")
+    def test_unclosed_memmap_owner_raises_naming_this_file(self):
+        owner = nlc_store.publish(_nlcs(), "memmap")
         try:
             with pytest.raises(sanitize.StoreLeakError) as excinfo:
                 sanitize.check()
@@ -80,7 +81,7 @@ class TestDeliberateLeaksFail:
             owner.close()
 
     def test_unfinalized_writer_raises(self):
-        writer = nlc_store.writer(8, "shm")
+        writer = nlc_store.writer(8, "memmap")
         try:
             with pytest.raises(sanitize.StoreLeakError) as excinfo:
                 sanitize.check()
@@ -97,8 +98,25 @@ class TestDeliberateLeaksFail:
         ctx.__exit__(None, None, None)
         sanitize.check()
 
+    def test_orphaned_store_file_is_reported_once(self, tmp_path,
+                                                  monkeypatch):
+        """A ``repro-nlc-{pid}-*`` file no owner holds is an orphan; an
+        unclosed owner's own file is reported as that owner only."""
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+        owner = nlc_store.publish(_nlcs(), "memmap")
+        orphan = tmp_path / f"repro-nlc-{os.getpid()}-orphan.nlc"
+        orphan.touch()
+        try:
+            found = sanitize.violations()
+            assert [v for v in found if v.startswith("orphaned")] \
+                == [f"orphaned store file on disk: {orphan}"]
+            assert sum(owner.key in v for v in found) == 1
+        finally:
+            owner.close()
+            orphan.unlink()
+
     def test_violation_count_reaches_the_gauge(self):
-        owner = nlc_store.publish(_nlcs(), "shm")
+        owner = nlc_store.publish(_nlcs(), "memmap")
         try:
             with pytest.raises(sanitize.StoreLeakError):
                 sanitize.check()
@@ -115,17 +133,17 @@ class TestLedgerModes:
     def test_disabled_hooks_are_noops(self):
         sanitize.disable()
         assert not sanitize.active()
-        owner = nlc_store.publish(_nlcs(), "shm")
+        owner = nlc_store.publish(_nlcs(), "memmap")
         owner.close()
         assert sanitize.violations() == []
         sanitize.check()  # nothing recorded, nothing raised
 
     def test_reset_drops_recorded_state(self):
-        owner = nlc_store.publish(_nlcs(), "shm")
+        owner = nlc_store.publish(_nlcs(), "memmap")
         assert sanitize.violations(scan_disk=False) != []
         sanitize.reset()
         assert sanitize.violations(scan_disk=False) == []
-        owner.close()  # release the real segment either way
+        owner.close()  # release the real file either way
 
     def test_ram_owners_are_never_violations(self):
         nlc_store.publish(_nlcs(), "ram")  # dropped without close
@@ -135,7 +153,7 @@ class TestLedgerModes:
 class TestSessionHookEndToEnd:
     def test_leaking_suite_fails_under_repro_sanitize(self, tmp_path):
         """The CI wiring, for real: a pytest run whose only test leaks
-        an shm owner passes test-wise but exits non-zero under
+        a memmap owner passes test-wise but exits non-zero under
         REPRO_SANITIZE=1 via the sessionfinish audit."""
         repo_root = Path(__file__).resolve().parents[2]
         # Delegate to the REAL hook (not a copy) so this exercises the
@@ -152,7 +170,7 @@ class TestSessionHookEndToEnd:
             "    f = np.zeros(4)\n"
             "    i = np.zeros(4, dtype=np.int64)\n"
             "    store.publish(CircleSet(f, f, f + 0.1, f,\n"
-            "                            owners=i, levels=i), 'shm')\n",
+            "                            owners=i, levels=i), 'memmap')\n",
             encoding="utf-8")
         env = {"PYTHONPATH": f"{repo_root / 'src'}:{repo_root}",
                "PATH": "/usr/bin:/bin", "HOME": "/tmp",
