@@ -268,49 +268,3 @@ def fig14_real_world(dataset: str,
         )
         out.attach_timings(timings, ratio=f"1/{denom}")
     return out
-
-
-# ---------------------------------------------------------------------- #
-# Ablations (DESIGN.md §5)
-# ---------------------------------------------------------------------- #
-
-def ablation_backends(profile: ScaleProfile | None = None,
-                      seed: int | None = None) -> ExperimentResult:
-    """Vectorised hierarchical classification vs literal R-tree queries."""
-    profile = profile or get_profile()
-    seed = profile.seeds[0] if seed is None else seed
-    out = ExperimentResult("ablation_backends",
-                           meta={"profile": profile.name})
-    for n in profile.customers_sweep[:3]:
-        problem = _problem(n, profile.n_sites, profile.k, "uniform", seed)
-        vector = time_maxfirst(problem, backend="vector")
-        rtree = time_maxfirst(problem, backend="rtree")
-        out.add_row(n_customers=n, vector_s=vector.seconds,
-                    rtree_s=rtree.seconds, vector_score=vector.score,
-                    rtree_score=rtree.score)
-        out.attach_report(vector.report, n_customers=n, backend="vector")
-        out.attach_report(rtree.report, n_customers=n, backend="rtree")
-    return out
-
-
-def ablation_theorem3(profile: ScaleProfile | None = None,
-                      seed: int | None = None) -> ExperimentResult:
-    """Theorem 3 variants: subset (ours) vs equality (pseudocode).
-
-    A no-Theorem-3 arm does not exist: the rule is what terminates the
-    tessellation along a found region's boundary (see MaxFirst docs).
-    """
-    profile = profile or get_profile()
-    seed = profile.seeds[0] if seed is None else seed
-    out = ExperimentResult("ablation_theorem3",
-                           meta={"profile": profile.name})
-    problem = _problem(profile.n_customers, profile.n_sites, profile.k,
-                       "uniform", seed)
-    for mode in ("subset", "equality"):
-        timing = time_solver("maxfirst", problem, theorem3=mode)
-        counters = timing.report.counters
-        out.add_row(mode=mode, seconds=timing.seconds, score=timing.score,
-                    splits=counters["splits"],
-                    pruned2=counters["pruned_theorem3"])
-        out.attach_report(timing.report, mode=mode)
-    return out

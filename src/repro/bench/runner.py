@@ -149,23 +149,15 @@ def predict_pair_count(problem: MaxBRkNNProblem) -> float:
 
 
 def run_solvers(problem: MaxBRkNNProblem, pair_budget: int | None = None,
-                maxfirst_options: dict | None = None,
-                maxoverlap_options: dict | None = None,
                 solvers: tuple[str, ...] = ("maxfirst", "maxoverlap"),
                 solver_options: dict[str, dict] | None = None
                 ) -> dict[str, SolverTiming]:
     """Run the named solvers on one instance; MaxOverlap honours the budget.
 
     ``solver_options`` maps solver name to constructor options for any
-    registered solver; ``maxfirst_options`` / ``maxoverlap_options`` are
-    the historical aliases for the default pair.
+    registered solver.
     """
-    options = {name: dict(opts)
-               for name, opts in (solver_options or {}).items()}
-    if maxfirst_options:
-        options.setdefault("maxfirst", {}).update(maxfirst_options)
-    if maxoverlap_options:
-        options.setdefault("maxoverlap", {}).update(maxoverlap_options)
+    options = solver_options or {}
     return {
         name: time_solver(name, problem, pair_budget=pair_budget,
                           **options.get(name, {}))

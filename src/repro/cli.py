@@ -47,8 +47,6 @@ _FIGURES = {
     "fig13b": lambda p: _figures.fig13_pruning("normal", p),
     "fig14a": lambda p: _figures.fig14_real_world("ux", p),
     "fig14b": lambda p: _figures.fig14_real_world("ne", p),
-    "ablation-backends": lambda p: _figures.ablation_backends(p),
-    "ablation-theorem3": lambda p: _figures.ablation_theorem3(p),
 }
 
 _GENERATORS = {

@@ -43,7 +43,7 @@ def find_optimal_regions(customers: Any, sites: Any, k: int = 1,
         ``"reference"`` (see :func:`repro.engine.solver_names`).
     solver_options:
         Forwarded to the solver's constructor (``m_threshold``,
-        ``backend``, ``top_t``, ... for MaxFirst).
+        ``top_t``, ``epsilon``, ... for MaxFirst).
 
     >>> result = find_optimal_regions([(0, 0), (1, 0)], [(4, 4), (-4, 4)])
     >>> round(result.score, 6)

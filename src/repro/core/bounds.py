@@ -1,47 +1,19 @@
-"""Backends that compute a quadrant's ``Q.I`` / ``Q.C`` sets and bounds.
+"""The backend that computes a quadrant's ``Q.I`` / ``Q.C`` sets and bounds.
 
 The paper computes ``Q.I`` with a range query on an R-tree over the NLCs
-(Section IV-A).  We provide two interchangeable backends:
-
-* :class:`VectorBackend` — the default.  Exploits that a child quadrant's
-  intersecting set is a subset of its parent's, so each classification only
-  re-tests the parent's survivors, vectorised over numpy arrays.
-* :class:`RTreeBackend` — the literal construction from the paper: a range
-  query on an R-tree of NLC bounding boxes followed by the exact disk
-  predicates.
-
-Both return identical results (asserted by tests and measured by the
-backend ablation benchmark); they differ only in constant factors.
+(Section IV-A).  :class:`VectorBackend` answers the same query without an
+index: a child quadrant's intersecting set is a subset of its parent's,
+so each classification only re-tests the parent's survivors, vectorised
+over numpy arrays (hierarchical candidate passing, DESIGN.md §5.1).
 """
 
 from __future__ import annotations
-
-from typing import Protocol
 
 import numpy as np
 
 from repro.core.quadrant import Quadrant
 from repro.geometry.rect import Rect
 from repro.index.circleset import CircleSet
-from repro.index.rtree import RTree
-
-
-class ClassificationBackend(Protocol):
-    """The contract both backends (and the sharded engine's bound-synced
-    wrapper) satisfy: candidate seeding plus scalar/batched quadrant
-    classification."""
-
-    def root_candidates(self) -> np.ndarray:
-        ...
-
-    def classify(self, rect: Rect, parent_candidates: np.ndarray,
-                 depth: int) -> Quadrant:
-        ...
-
-    def classify_batch(self, rects: list[Rect],
-                       parent_candidates: np.ndarray,
-                       depth: int) -> list[Quadrant]:
-        ...
 
 
 class VectorBackend:
@@ -53,8 +25,6 @@ class VectorBackend:
     which is how ``MaxFirst._phase1`` classifies all children of a split
     in a single kernel call (DESIGN.md §5.1).
     """
-
-    name = "vector"
 
     def __init__(self, nlcs: CircleSet, graze_tol: float = 0.0) -> None:
         self.nlcs = nlcs
@@ -112,57 +82,3 @@ class VectorBackend:
                          max_hat=max_hat, min_hat=min_hat, depth=depth)
                 for rect, (intersecting, containing_mask, max_hat, min_hat)
                 in zip(rects, results)]
-
-
-class RTreeBackend:
-    """Classification through R-tree range queries (paper-faithful)."""
-
-    name = "rtree"
-
-    def __init__(self, nlcs: CircleSet, graze_tol: float = 0.0,
-                 max_entries: int = 16) -> None:
-        self.nlcs = nlcs
-        self.graze_tol = graze_tol
-        self._tree = RTree.bulk_load(
-            ((nlcs.circle(i).bounding_box(), i) for i in range(len(nlcs))),
-            max_entries=max_entries)
-
-    def root_candidates(self) -> np.ndarray:
-        # The R-tree backend re-queries from the root each time; the
-        # candidate array is unused but kept for interface parity.
-        return np.arange(len(self.nlcs), dtype=np.int64)
-
-    def classify(self, rect: Rect, parent_candidates: np.ndarray,
-                 depth: int) -> Quadrant:
-        hits = self._tree.search(rect)
-        if hits:
-            candidates = np.array(sorted(hits), dtype=np.int64)
-        else:
-            candidates = np.zeros(0, dtype=np.int64)
-        # The range query is over bounding boxes; apply the exact disk
-        # predicates to the (small) hit set.
-        intersecting, containing_mask, max_hat, min_hat = (
-            self.nlcs.classify_rect(rect, candidates,
-                                    graze_tol=self.graze_tol))
-        return Quadrant(rect=rect, intersecting=intersecting,
-                        containing_mask=containing_mask,
-                        max_hat=max_hat, min_hat=min_hat, depth=depth)
-
-    def classify_batch(self, rects: list[Rect],
-                       parent_candidates: np.ndarray,
-                       depth: int) -> list[Quadrant]:
-        """Per-rect R-tree range queries: each sibling has its own hit
-        set, so there is no shared candidate batch to amortise — this
-        backend stays paper-literal and loops."""
-        return [self.classify(rect, parent_candidates, depth)
-                for rect in rects]
-
-
-def make_backend(name: str, nlcs: CircleSet,
-                 graze_tol: float = 0.0) -> ClassificationBackend:
-    """Backend factory: ``"vector"`` (default) or ``"rtree"``."""
-    if name == "vector":
-        return VectorBackend(nlcs, graze_tol=graze_tol)
-    if name == "rtree":
-        return RTreeBackend(nlcs, graze_tol=graze_tol)
-    raise ValueError(f"unknown bounds backend: {name!r}")

@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.bounds import ClassificationBackend, make_backend
+from repro.core.bounds import VectorBackend
 from repro.core.nlc import build_nlcs, nlc_space
 from repro.core.problem import MaxBRkNNProblem
 from repro.core.quadrant import MaxFirstStats, Quadrant, _MutableStats
@@ -62,11 +62,6 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.index.circleset import CircleSet
 from repro.obs.trace import span
-
-# Theorem 3 is load-bearing: without it, quadrants straddling a found
-# region's boundary re-split forever (the boundary is a curve — its
-# tessellation grows exponentially with depth), so there is no "off" mode.
-_THEOREM3_MODES = ("subset", "equality")
 
 # Unit roundoff of float64; sizes the Theorem 3 score-sum margin so it
 # dominates worst-case summation error for any cover size.
@@ -133,16 +128,19 @@ class _FoundCovers:
         self._sums.append(float(score_sum))
         return True
 
-    def prunes(self, quad: Quadrant, mode: str) -> bool:
-        """The Theorem 3 test: is ``Q.I`` a subset of (or, in
-        ``equality`` mode, equal to) a found cover?"""
+    def prunes(self, quad: Quadrant) -> bool:
+        """The Theorem 3 test: is ``Q.I`` a subset of a found cover?
+
+        The pseudocode tests ``Q'.C == Q.I``; the subset test prunes
+        everything equality does and more.  Theorem 3 is load-bearing:
+        without it, quadrants straddling a found region's boundary
+        re-split forever (the boundary is a curve — its tessellation
+        grows exponentially with depth).
+        """
         if not self._keys:
             return False
         inter = quad.intersecting
         m = inter.shape[0]
-        if mode == "equality":
-            return any(size == m and bool(mask[inter].all())
-                       for mask, size in zip(self._masks, self._sizes))
         max_hat = quad.max_hat
         for mask, size, cover_sum in zip(self._masks, self._sizes,
                                          self._sums):
@@ -185,14 +183,6 @@ class MaxFirst:
         before checking for the intersection-point problem.  Any positive
         value is correct; Figure 8 shows performance is insensitive to it
         (paper default: 4).
-    backend:
-        ``"vector"`` (hierarchical numpy classification, default) or
-        ``"rtree"`` (paper-literal R-tree range queries).
-    theorem3:
-        ``"subset"`` (default; the full strength of Theorem 3) or
-        ``"equality"`` (the literal pseudocode test ``Q'.C == Q.I``).
-        Theorem 3 cannot be disabled: it is what terminates the
-        tessellation along a found region's boundary.
     top_t:
         Return the ``t`` best *score tiers* of distinct consistent regions
         instead of only the maximum (an extension; ``top_t=1`` is the
@@ -238,8 +228,7 @@ class MaxFirst:
         the instance size.
     """
 
-    def __init__(self, m_threshold: int = 4, backend: str = "vector",
-                 theorem3: str = "subset", top_t: int = 1,
+    def __init__(self, m_threshold: int = 4, top_t: int = 1,
                  tie_tol: float = 1e-9,
                  resolution_fraction: float = 1e-9,
                  degeneracy_depth: int = 20,
@@ -250,9 +239,6 @@ class MaxFirst:
             raise ValueError("m_threshold must be positive")
         if degeneracy_depth < 1:
             raise ValueError("degeneracy_depth must be positive")
-        if theorem3 not in _THEOREM3_MODES:
-            raise ValueError(
-                f"theorem3 must be one of {_THEOREM3_MODES}, got {theorem3!r}")
         if top_t < 1:
             raise ValueError("top_t must be positive")
         if not all(map(math.isfinite,
@@ -269,8 +255,6 @@ class MaxFirst:
                 "frontier is not a global lower bound, so an early stop "
                 "certifies nothing about the lower tiers")
         self.m_threshold = m_threshold
-        self.backend_name = backend
-        self.theorem3 = theorem3
         self.top_t = top_t
         self.tie_tol = tie_tol
         self.resolution_fraction = resolution_fraction
@@ -357,7 +341,7 @@ class MaxFirst:
     # ------------------------------------------------------------------ #
 
     def run_phase1(self, nlcs: CircleSet, space: Rect, *,
-                   backend: ClassificationBackend | None = None,
+                   backend: VectorBackend | None = None,
                    resolution: float | None = None,
                    initial_bound: float = 0.0,
                    bound_sync: Callable[[float], float] | None = None,
@@ -374,9 +358,10 @@ class MaxFirst:
         Parameters beyond :meth:`solve_nlcs`'s:
 
         backend:
-            A prebuilt classification backend (so the pipeline layer can
-            time index construction separately).  Must have been built
-            with ``graze_tol == resolution``.
+            A prebuilt :class:`~repro.core.bounds.VectorBackend` over
+            ``nlcs`` (so the pipeline layer can time its construction
+            separately).  Must have been built with
+            ``graze_tol == resolution``.
         resolution:
             Geometric resolution override.  A tile shard must run at the
             *global* space's resolution, not its tile's, or quadrant
@@ -445,7 +430,7 @@ class MaxFirst:
         return accepted, max_min, stats.freeze()
 
     def _phase1(self, nlcs: CircleSet, space: Rect, *,
-                backend: ClassificationBackend | None = None,
+                backend: VectorBackend | None = None,
                 resolution: float | None = None,
                 initial_bound: float = 0.0,
                 bound_sync: Callable[[float], float] | None = None,
@@ -465,8 +450,7 @@ class MaxFirst:
         # quadrant predicates (see CircleSet.classify_rect): overlaps
         # thinner than the resolution are treated as non-overlaps.
         if backend is None:
-            backend = make_backend(self.backend_name, nlcs,
-                                   graze_tol=resolution)
+            backend = VectorBackend(nlcs, graze_tol=resolution)
         if ((initial_bound or bound_sync is not None
                 or seed_covers is not None or roots is not None)
                 and self.top_t != 1):
@@ -611,7 +595,7 @@ class MaxFirst:
                 # region would otherwise produce, and a *new* tied region
                 # can never be subset-pruned (equal positive score sums
                 # force equal covers).
-                if self._theorem3_prunes(quad, found_covers):
+                if found_covers.prunes(quad):
                     stats.pruned_theorem3 += 1
                     if sink is not None:
                         sink.append((quad.rect, quad.min_hat,
@@ -805,10 +789,6 @@ class MaxFirst:
                     min_hat=quad.min_hat, depth=quad.depth, refined=True)
                 return ("requeue", requeue)
         return ("split", None)
-
-    def _theorem3_prunes(self, quad: Quadrant,
-                         found_covers: _FoundCovers) -> bool:
-        return found_covers.prunes(quad, self.theorem3)
 
     def _common_point_inside(self, quad: Quadrant, nlcs: CircleSet,
                              resolution: float) -> tuple[float, float] | None:

@@ -102,8 +102,7 @@ class SiteTree:
 def build_knn_tree(points: np.ndarray) -> SiteTree | None:
     """Prebuild the site index :func:`knn_chunked` searches, so callers
     issuing several query batches against the same site set (streamed
-    chunks, the pipeline's ``build_nlcs`` stage across repeated runs,
-    a served instance) pay construction once.  Without the kernel
+    chunks) pay construction once.  Without the kernel
     (``REPRO_NO_CKERNEL=1``) the numpy scan has no index and this
     returns ``None``.
     """

@@ -7,8 +7,8 @@ Every solver run decomposes into the same six stages (:data:`~repro.engine.repor
 ``build_nlcs``
     Problem → scored NLC set (shared pre-processing of every solver).
 ``index``
-    Build the spatial index the search consults (classification backend,
-    bucket grid, shard plan).
+    Build the structure the search consults (quadrant classifier, bucket
+    grid, shard plan).
 ``search``
     The solver's core search (Phase I, candidate-point scan, lattice, ...).
 ``refine``
@@ -35,9 +35,9 @@ from repro.baselines.gridsearch import GridSearch
 from repro.baselines.maxoverlap import MaxOverlap, MaxOverlapResult, \
     MaxOverlapStats
 from repro.baselines.reference import Reference
-from repro.core.bounds import make_backend
+from repro.core.bounds import VectorBackend
 from repro.core.maxfirst import MaxFirst
-from repro.core.nlc import build_knn_tree, build_nlcs, nlc_space
+from repro.core.nlc import build_nlcs, nlc_space
 from repro.core.problem import MaxBRkNNProblem
 from repro.core.quadrant import MAXFIRST_COUNTER_KEYS, MaxFirstStats
 from repro.core.result import MaxBRkNNResult
@@ -223,27 +223,11 @@ class SolverPipeline:
 class _NlcStageMixin:
     """Shared ``build_nlcs`` stage: every solver starts from the NLC set."""
 
-    #: (sites, tree) of the last build, reused when a pipeline instance
-    #: runs repeatedly over the same site set (benchmark repeats,
-    #: parameter sweeps).  Holding the sites array keeps its identity
-    #: stable for the ``is`` check.
-    _site_tree_cache: tuple[Any, Any] | None = None
-
-    def _site_tree(self, ctx: PipelineContext) -> Any:
-        cached = self._site_tree_cache
-        sites = ctx.problem.sites
-        if cached is not None and cached[0] is sites:
-            return cached[1]
-        tree = build_knn_tree(sites)
-        self._site_tree_cache = (sites, tree)
-        return tree
-
     def _build_nlcs_stage(self, ctx: PipelineContext, *,
                           keep_zero_score: bool = False,
                           degenerate_stats: MaxFirstStats | None = None
                           ) -> None:
-        ctx.nlcs = build_nlcs(ctx.problem, keep_zero_score=keep_zero_score,
-                              tree=self._site_tree(ctx))
+        ctx.nlcs = build_nlcs(ctx.problem, keep_zero_score=keep_zero_score)
         ctx.report.meta["n_nlcs"] = len(ctx.nlcs)
         self._publish_store(ctx)
         if len(ctx.nlcs) == 0:
@@ -257,7 +241,7 @@ class _NlcStageMixin:
 class MaxFirstPipeline(_NlcStageMixin, SolverPipeline):
     """MaxFirst through the staged frame.
 
-    ``index`` builds the classification backend, ``search`` is Phase I
+    ``index`` builds the quadrant classifier, ``search`` is Phase I
     (:meth:`MaxFirst.run_phase1`), ``refine`` is Phase II
     (:meth:`MaxFirst.build_regions`).  Counters are the Phase I stats.
     """
@@ -277,9 +261,7 @@ class MaxFirstPipeline(_NlcStageMixin, SolverPipeline):
         ctx.space = nlc_space(ctx.nlcs)
         ctx.resolution = (max(ctx.space.width, ctx.space.height)
                           * self.solver.resolution_fraction)
-        ctx.backend = make_backend(self.solver.backend_name, ctx.nlcs,
-                                   graze_tol=ctx.resolution)
-        ctx.report.meta["backend"] = self.solver.backend_name
+        ctx.backend = VectorBackend(ctx.nlcs, graze_tol=ctx.resolution)
 
     def search(self, ctx: PipelineContext) -> None:
         ctx.accepted, ctx.max_min, ctx.stats = self.solver.run_phase1(

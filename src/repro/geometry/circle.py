@@ -41,11 +41,6 @@ class Circle:
     def area(self) -> float:
         return math.pi * self.r * self.r
 
-    def bounding_box(self) -> Rect:
-        """Axis-aligned bounding box (used by the R-tree and grid index)."""
-        return Rect(self.cx - self.r, self.cy - self.r,
-                    self.cx + self.r, self.cy + self.r)
-
     def contains_point(self, x: float, y: float, tol: float = 0.0) -> bool:
         """True when ``(x, y)`` lies in the closed disk.
 

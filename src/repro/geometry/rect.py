@@ -2,7 +2,7 @@
 
 Rectangles play two roles in this library: they are the *quadrants* that
 MaxFirst recursively partitions (Algorithm 1 of the paper), and they are the
-bounding boxes stored in the R-tree nodes.
+bounding boxes of NLC sets and regions.
 """
 
 from __future__ import annotations

@@ -10,8 +10,7 @@ set against a rectangle in a handful of array operations.
 Combined with *hierarchical candidate passing* — a child quadrant's
 intersecting set is always a subset of its parent's, so each quadrant only
 re-tests its parent's survivors — this is what makes a pure-Python
-MaxFirst run at interactive speed (see DESIGN.md §5.1; the R-tree backend
-is retained for the ablation benchmark).
+MaxFirst run at interactive speed (see DESIGN.md §5.1).
 """
 
 from __future__ import annotations

@@ -56,7 +56,6 @@ TRANSPORT_COUNTER_KEYS: tuple[str, ...] = (
 COUNTER_KEYS: tuple[str, ...] = (
     "kernel_batches",
     "kernel_rects",
-    "rtree_node_visits",
     "refine_pair_tests",
     "region_grows",
     "phase2_clips",

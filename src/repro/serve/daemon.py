@@ -35,8 +35,10 @@ and the keep-alive connection survives.  A request the stdlib refuses
 before any route runs — a bad request line (400), one over 65,536
 bytes (414), oversized headers (431), an unsupported method (501) or
 HTTP version (505) — gets the same envelope, then the connection
-closes: its body was never read.  Each error reply counts once in its
-class's ``serve_errors_<status>`` counter (``/metrics``).
+closes: its body was never read.  A GET that declares a body is
+answered as usual, then closed, for the same reason.  Each error reply
+counts once in its class's ``serve_errors_<status>`` counter
+(``/metrics``).
 """
 
 from __future__ import annotations
@@ -243,6 +245,11 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
         self._routed = True
         daemon: "ServeDaemon" = self.server.daemon  # type: ignore[attr-defined]
+        if self.headers.get("Content-Length", "0") != "0":
+            # No GET route reads a body, so a declared one stays on the
+            # stream and would be parsed as the next request: answer,
+            # then close.
+            self.close_connection = True
         if self.path == "/health":
             self._send_json(200, {
                 "status": "ok",

@@ -21,8 +21,10 @@ request after it runs against what publish produced:
   same reason (the seeding solve's regions are merged back into every
   seeded solve's answer).
 
-The registry is keyed by the store handle's key string, so an instance
-id doubles as the attachment key retiring a sibling instance keeps.
+Instance ids are opaque ``inst-<n>`` tokens from the registry's own
+counter: they name no store file, so clients never see where the daemon
+keeps its stores.  Retiring an instance keeps the attachments of its
+siblings by their owners' store keys.
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ class InstanceRegistry:
         self._store = store
         self._instances: dict[str, ServedInstance] = {}
         self._lock = threading.Lock()
-        self._fallback_ids = itertools.count(1)
+        self._ids = itertools.count(1)
 
     def publish(self, problem: MaxBRkNNProblem, *,
                 store: str | None = None) -> ServedInstance:
@@ -146,19 +148,17 @@ class InstanceRegistry:
         nlcs = nlcs_from_distances(problem, dists)
         if len(nlcs) == 0:
             # Degenerate (all-zero-weight) instance: nothing to store,
-            # but the query operators still answer — register it with a
-            # synthetic id and no owner.
-            instance = ServedInstance(
-                instance_id=f"inst-{next(self._fallback_ids)}",
-                problem=problem, owner=None, nlcs=nlcs,
-                space=problem.data_bounds(), store=backend, ranks=ranks)
+            # but the query operators still answer — register it with
+            # no owner.
+            owner, space = None, problem.data_bounds()
         else:
             owner = nlc_store.publish(nlcs, backend)
-            attached = nlc_store.attach(owner.handle)
-            instance = ServedInstance(
-                instance_id=str(owner.handle[1]), problem=problem,
-                owner=owner, nlcs=attached, space=nlc_space(attached),
-                store=backend, ranks=ranks)
+            nlcs = nlc_store.attach(owner.handle)
+            space = nlc_space(nlcs)
+        instance = ServedInstance(
+            instance_id=f"inst-{next(self._ids)}", problem=problem,
+            owner=owner, nlcs=nlcs, space=space, store=backend,
+            ranks=ranks)
         with self._lock:
             self._instances[instance.instance_id] = instance
         return instance
@@ -189,7 +189,9 @@ class InstanceRegistry:
         attachments of every instance still registered)."""
         with self._lock:
             instance = self._instances.pop(instance_id, None)
-            keep = tuple(self._instances)
+            keep = tuple(sibling.owner.key
+                         for sibling in self._instances.values()
+                         if sibling.owner is not None)
         if instance is not None:
             instance.close(keep=keep)
 

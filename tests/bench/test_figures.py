@@ -86,15 +86,3 @@ class TestFigureExperiments:
     def test_fig14_unknown_dataset(self, micro):
         with pytest.raises(ValueError):
             figures.fig14_real_world("tiger", micro)
-
-    def test_ablation_backends(self, micro):
-        result = figures.ablation_backends(micro)
-        for row in result.rows:
-            assert row["vector_score"] == pytest.approx(row["rtree_score"])
-
-    def test_ablation_theorem3(self, micro):
-        result = figures.ablation_theorem3(micro)
-        modes = [row["mode"] for row in result.rows]
-        assert modes == ["subset", "equality"]
-        scores = [row["score"] for row in result.rows]
-        assert scores[0] == pytest.approx(scores[1])

@@ -14,8 +14,7 @@ class TestFindOptimalRegions:
         assert result.score == pytest.approx(2.0)
 
     def test_solver_options_forwarded(self):
-        result = find_optimal_regions([(0, 0)], [(2, 0)], m_threshold=8,
-                                      backend="rtree")
+        result = find_optimal_regions([(0, 0)], [(2, 0)], m_threshold=8)
         assert result.score == pytest.approx(1.0)
 
     def test_invalid_option_raises(self):

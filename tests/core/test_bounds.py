@@ -1,11 +1,10 @@
-"""Tests for repro.core.bounds — the two classification backends."""
+"""Tests for repro.core.bounds — the quadrant classification backend."""
 
 import numpy as np
 import pytest
 
-from repro.core.bounds import RTreeBackend, VectorBackend, make_backend
+from repro.core.bounds import VectorBackend
 from repro.core.nlc import build_nlcs, nlc_space
-from repro.geometry.rect import Rect
 from repro.index.circleset import CircleSet
 
 
@@ -14,43 +13,7 @@ def nlcs(small_k2_problem) -> CircleSet:
     return build_nlcs(small_k2_problem)
 
 
-class TestFactory:
-    def test_known_backends(self, nlcs):
-        assert isinstance(make_backend("vector", nlcs), VectorBackend)
-        assert isinstance(make_backend("rtree", nlcs), RTreeBackend)
-
-    def test_unknown_backend(self, nlcs):
-        with pytest.raises(ValueError):
-            make_backend("quadtree", nlcs)
-
-
 class TestBackendEquivalence:
-    def test_identical_classification(self, nlcs, rng):
-        """Both backends must produce identical Quadrants (DESIGN.md §5.1)."""
-        vector = VectorBackend(nlcs)
-        rtree = RTreeBackend(nlcs)
-        space = nlc_space(nlcs)
-        root = vector.root_candidates()
-        for _ in range(40):
-            x1, y1 = rng.random(2)
-            w, h = rng.uniform(0.01, 0.5, 2)
-            rect = Rect(float(x1), float(y1), float(x1 + w), float(y1 + h))
-            qv = vector.classify(rect, root, depth=1)
-            qr = rtree.classify(rect, root, depth=1)
-            assert np.array_equal(qv.intersecting, qr.intersecting)
-            assert np.array_equal(qv.containing_mask, qr.containing_mask)
-            assert qv.max_hat == pytest.approx(qr.max_hat)
-            assert qv.min_hat == pytest.approx(qr.min_hat)
-
-    def test_equivalence_with_graze_tol(self, nlcs):
-        vector = VectorBackend(nlcs, graze_tol=1e-9)
-        rtree = RTreeBackend(nlcs, graze_tol=1e-9)
-        rect = nlc_space(nlcs)
-        qv = vector.classify(rect, vector.root_candidates(), 0)
-        qr = rtree.classify(rect, rtree.root_candidates(), 0)
-        assert np.array_equal(qv.intersecting, qr.intersecting)
-        assert qv.min_hat == pytest.approx(qr.min_hat)
-
     def test_hierarchical_passing_matches_full(self, nlcs):
         """Classifying a child against its parent's I equals classifying
         it against the full NLC set — the invariant hierarchical

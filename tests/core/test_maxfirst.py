@@ -23,10 +23,6 @@ class TestConstructorValidation:
         with pytest.raises(ValueError):
             MaxFirst(m_threshold=0)
 
-    def test_invalid_theorem3(self):
-        with pytest.raises(ValueError):
-            MaxFirst(theorem3="maybe")
-
     def test_invalid_top_t(self):
         with pytest.raises(ValueError):
             MaxFirst(top_t=0)
@@ -262,26 +258,6 @@ class TestDisksCommonPoint:
 
 
 class TestSolverOptions:
-    def test_backends_agree(self, small_k2_problem):
-        vector = MaxFirst(backend="vector").solve(small_k2_problem)
-        rtree = MaxFirst(backend="rtree").solve(small_k2_problem)
-        assert vector.score == pytest.approx(rtree.score)
-        assert len(vector.regions) == len(rtree.regions)
-
-    def test_theorem3_modes_agree(self, small_uniform_problem):
-        results = {mode: MaxFirst(theorem3=mode).solve(
-            small_uniform_problem) for mode in ("subset", "equality")}
-        assert results["equality"].score == pytest.approx(
-            results["subset"].score)
-        # Subset pruning never does more splitting work than equality.
-        assert (results["subset"].stats.splits
-                <= results["equality"].stats.splits)
-
-    def test_theorem3_off_rejected(self):
-        # Theorem 3 is required for termination; "off" is not a mode.
-        with pytest.raises(ValueError):
-            MaxFirst(theorem3="off")
-
     def test_keep_zero_score_same_result(self, small_uniform_problem):
         customers = small_uniform_problem.customers
         sites = small_uniform_problem.sites

@@ -127,26 +127,24 @@ class TestShardedExactness:
         assert result.score == single.score
         assert _region_keys(result) == _region_keys(single)
 
-    def test_backend_option_reaches_every_tile(self, monkeypatch):
-        """Each tile builds its backend inside ``run_phase1``, so
-        ``backend="rtree"`` applies per tile, as in serial mode, and the
+    def test_solver_option_reaches_every_tile(self, monkeypatch):
+        """Each tile builds its own ``MaxFirst`` from the sharded
+        solver's options, so ``m_threshold=1`` applies per tile, and the
         answer still matches the single-process run."""
-        import repro.core.maxfirst as maxfirst_module
-
         built = []
-        make_backend = maxfirst_module.make_backend
+        run_phase1 = MaxFirst.run_phase1
 
-        def recording(name, nlcs, graze_tol=0.0):
-            built.append(name)
-            return make_backend(name, nlcs, graze_tol=graze_tol)
+        def recording(solver, *args, **kwargs):
+            built.append(solver.m_threshold)
+            return run_phase1(solver, *args, **kwargs)
 
         problem = _problem(60, 6, k=2, seed=3)
-        single = MaxFirst(backend="rtree").solve(problem)
-        sharded = ShardedMaxFirst(shards=4, mode="tiles", backend="rtree")
+        single = MaxFirst(m_threshold=1).solve(problem)
+        sharded = ShardedMaxFirst(shards=4, mode="tiles", m_threshold=1)
         tiles = sharded.plan(build_nlcs(problem)).n_shards
-        monkeypatch.setattr(maxfirst_module, "make_backend", recording)
+        monkeypatch.setattr(MaxFirst, "run_phase1", recording)
         result = sharded.solve(problem)
-        assert built == ["rtree"] * tiles
+        assert built == [1] * tiles
         assert result.score == single.score
         assert _region_keys(result) == _region_keys(single)
 

@@ -39,10 +39,9 @@ class TestCircleBasics:
         assert c.contains_point(1.0, 2.0)
         assert not c.contains_point(1.0, 2.0001)
 
-    def test_area_and_bbox(self):
+    def test_area(self):
         c = Circle(1.0, 1.0, 2.0)
         assert c.area == pytest.approx(math.pi * 4.0)
-        assert c.bounding_box() == Rect(-1.0, -1.0, 3.0, 3.0)
 
     def test_contains_point_closed(self):
         c = Circle(0.0, 0.0, 1.0)

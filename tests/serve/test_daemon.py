@@ -354,6 +354,39 @@ class TestFailClosed:
             assert client.health()["status"] == "ok"
         _assert_one_more(daemon, errors, 408)
 
+    def test_get_declaring_a_body_is_answered_then_closed(self, daemon):
+        """No GET route reads a body, so a declared one would be parsed
+        as the next request line: one 200 with ``Connection: close``,
+        then EOF, and no error class moves."""
+        errors = _error_counts(daemon)
+        head, body = _raw_exchange(
+            daemon, b"GET /health HTTP/1.1\r\nHost: test\r\n"
+                    b"Content-Length: 5\r\n\r\nhello"
+                    b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 "), head
+        assert b"Connection: close" in head
+        assert b"HTTP/1.1 " not in body  # EOF after the one reply
+        assert json.loads(body)["status"] == "ok"
+        assert _error_counts(daemon) == errors
+
+    def test_get_without_a_body_keeps_the_connection(self, daemon):
+        conn = HTTPConnection(*daemon.address, timeout=10.0)
+        try:
+            conn.request("GET", "/health")
+            response = conn.getresponse()
+            response.read()
+            assert (response.status, response.getheader("Connection")) \
+                == (200, None)
+            sock = conn.sock
+            conn.request("GET", "/health", headers={"Content-Length": "0"})
+            response = conn.getresponse()
+            response.read()
+            assert (response.status, response.getheader("Connection")) \
+                == (200, None)
+            assert conn.sock is sock  # no reconnect needed
+        finally:
+            conn.close()
+
     def test_idle_keep_alive_closes_and_client_reconnects(self, daemon,
                                                           monkeypatch):
         monkeypatch.setattr(daemon_module._Handler, "timeout", 0.2)

@@ -4,6 +4,7 @@ error paths, registry lifecycle, counters."""
 import numpy as np
 import pytest
 
+from repro import store as nlc_store
 from repro.core.maxfirst import MaxFirst
 from repro.core.nlc import build_nlcs
 from repro.core.problem import MaxBRkNNProblem
@@ -154,14 +155,21 @@ class TestRegistryLifecycle:
             registry.get(instance.instance_id)
         registry.close()
 
-    def test_retire_keeps_sibling_instances_usable(self, serve_problem):
-        with QueryService(store="ram") as service:
+    @pytest.mark.parametrize("store", ["ram", "memmap"])
+    def test_retire_keeps_sibling_instances_usable(self, serve_problem,
+                                                   store):
+        with QueryService(store=store) as service:
             first = service.publish(serve_problem)
             second = service.publish(serve_problem)
+            assert "/" not in second.instance_id  # names no store file
             service.registry.retire(first.instance_id)
             (response,) = service.execute(
                 [BrknnRequest(second.instance_id, 0)])
             assert isinstance(response, BrknnResponse)
+            if store == "memmap":
+                # The sibling's cached attachment survives the retire.
+                assert (nlc_store.attach(second.owner.handle)
+                        is second.nlcs)
 
     def test_close_is_idempotent(self, serve_problem):
         service = QueryService(store="ram")
